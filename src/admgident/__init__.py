@@ -13,7 +13,6 @@ from .admg import (
     is_acyclic,
     latent_projection_bidirected,
     relations,
-    validate,
 )
 from .estimate import (
     EstimateResult,

@@ -103,9 +103,6 @@ class MixedGraph:
         self._require(v)
         return tuple(self._siblings[v])
 
-    def has_directed(self, u: str, v: str) -> bool:
-        return (u, v) in set(self.directed)
-
     def ancestors(self, v: str) -> frozenset:
         """All u with a directed path u -> ... -> v; contains v (trivial path)."""
         self._require(v)
@@ -161,26 +158,6 @@ class Relations:
     de: frozenset
     sib: frozenset
     sib_and_self: frozenset
-
-
-def validate(g: MixedGraph) -> None:
-    """Re-check all MixedGraph invariants on an already constructed graph.
-
-    Construction enforces these, so this is a guard for graphs built through
-    other channels (deserialization, test doubles).
-    """
-    seen = set()
-    for v in g.vertices:
-        if v in seen:
-            raise DuplicateVertex(v)
-        seen.add(v)
-    for u, v in list(g.directed) + list(g.bidirected):
-        if u not in seen:
-            raise UnknownVertex(u)
-        if v not in seen:
-            raise UnknownVertex(v)
-        if u == v:
-            raise SelfLoop(u)
 
 
 def is_acyclic(g: MixedGraph) -> bool:
@@ -336,12 +313,11 @@ def graph_from_json(text: str) -> MixedGraph:
         raise GraphFormatError(f"unknown keys in graph document: {sorted(unknown)}")
     if "vertices" not in doc:
         raise GraphFormatError("graph document lacks 'vertices'")
+    vertices = _array(doc, "vertices")
+    directed = _pairs(doc, "directed")
+    bidirected = _pairs(doc, "bidirected")
     try:
-        return MixedGraph(
-            doc["vertices"],
-            directed=[tuple(e) for e in doc.get("directed", [])],
-            bidirected=[tuple(e) for e in doc.get("bidirected", [])],
-        )
+        return MixedGraph(vertices, directed=directed, bidirected=bidirected)
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed edge list: {exc}") from exc
 
@@ -364,15 +340,17 @@ def factor_graph_from_json(text: str) -> LatentFactorGraph:
     for key in ("vertices", "latents", "loadings"):
         if key not in doc:
             raise GraphFormatError(f"factor document lacks {key!r}")
-    loadings = [tuple(e) for e in doc["loadings"]]
+    vertices = _array(doc, "vertices")
+    latents = _array(doc, "latents")
+    loadings = _pairs(doc, "loadings")
     weights = None
-    if "weights" in doc and doc["weights"] is not None:
-        vals = doc["weights"]
+    if doc.get("weights") is not None:
+        vals = _array(doc, "weights")
         if len(vals) != len(loadings):
             raise GraphFormatError("weights must align with loadings")
-        weights = {tuple(loadings[i]): float(vals[i]) for i in range(len(loadings))}
+        weights = dict(zip(loadings, vals))
     try:
-        return LatentFactorGraph(doc["vertices"], doc["latents"], loadings, weights)
+        return LatentFactorGraph(vertices, latents, loadings, weights)
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed factor document: {exc}") from exc
 
@@ -386,6 +364,22 @@ def factor_graph_to_json(l: LatentFactorGraph) -> str:
     if l.weights is not None:
         doc["weights"] = [l.weights[e] for e in l.loadings]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _array(doc: dict, key: str) -> list:
+    """The JSON array under `key`, empty if absent; any other type is a format error."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise GraphFormatError(f"{key!r} must be a JSON array")
+    return value
+
+
+def _pairs(doc: dict, key: str) -> list:
+    """The edge list under `key` as tuples; every edge must itself be a JSON array."""
+    edges = _array(doc, key)
+    if not all(isinstance(e, list) for e in edges):
+        raise GraphFormatError(f"{key!r} must be an array of [u, v] arrays")
+    return [tuple(e) for e in edges]
 
 
 def _load_object(text: str) -> dict:

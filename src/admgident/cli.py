@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -130,7 +131,6 @@ def _emit(args, text: str) -> None:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.graph)
-    admg.validate(g)
     acyclic = admg.is_acyclic(g)
     if args.cyclic or not acyclic:
         return _check_cyclic(args, g)
@@ -278,27 +278,28 @@ def survey(p: int, densities, reps: int, seed: int, workers: int = 1):
     a stream keyed by (density index, repetition), and results reduce in task
     order.
     """
-    rows = []
     if reps < 1:
-        return rows
-    for di, density in enumerate(densities):
-        tasks = [(p, density, _graph_seed(seed, di, i)) for i in range(reps)]
-        if workers > 1 and reps > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                flags = list(pool.map(_survey_one, tasks, chunksize=max(1, reps // (4 * workers))))
-        else:
-            flags = [_survey_one(t) for t in tasks]
-        proportion = sum(flags) / reps if reps else 0.0
-        rows.append(
-            SurveyRow(
-                p=p,
-                density=round(density, 10),
-                graphs_sampled=reps,
-                proportion_identifiable=proportion,
-                seed=seed,
-            )
+        return []
+    tasks = [
+        (p, density, _graph_seed(seed, di, i))
+        for di, density in enumerate(densities)
+        for i in range(reps)
+    ]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            flags = list(pool.map(_survey_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    else:
+        flags = [_survey_one(t) for t in tasks]
+    return [
+        SurveyRow(
+            p=p,
+            density=round(density, 10),
+            graphs_sampled=reps,
+            proportion_identifiable=sum(flags[di * reps:(di + 1) * reps]) / reps,
+            seed=seed,
         )
-    return rows
+        for di, density in enumerate(densities)
+    ]
 
 
 def _parse_densities(text: str):
@@ -306,6 +307,8 @@ def _parse_densities(text: str):
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise GraphFormatError(f"--densities expects start:stop:step, got {text!r}") from exc
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
+        raise GraphFormatError(f"--densities needs finite bounds and a positive step, got {text!r}")
     out = []
     d = start
     while d <= stop + 1e-9:
@@ -336,6 +339,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise GraphFormatError(f"--n must be at least 1, got {args.n}")
     g = _load_graph(args.graph)
     lam = simulate.sample_parameters(g, args.seed)
     kind = simulate.LAPLACE if args.dist == "laplace" else simulate.UNIFORM
@@ -387,11 +392,7 @@ def cmd_estimate(args) -> int:
             f"{u}->{v}": abs(result.lam_hat.get(u, v) - true_lam.get(u, v))
             for u, v in g.directed
         }
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
 
 

@@ -168,7 +168,8 @@ class _Dinic:
                 total += got
 
 
-def _solve(net: FlowNetwork):
+def max_flow_with_arc_flows(net: FlowNetwork):
+    """Max flow value plus one optimal per-arc flow assignment."""
     index = {u: i for i, u in enumerate(net.nodes)}
     solver = _Dinic(len(net.nodes))
     arc_ids = []
@@ -183,12 +184,7 @@ def _solve(net: FlowNetwork):
 
 def max_flow(net: FlowNetwork) -> int:
     """Value of a maximum integral source-to-sink flow."""
-    return _solve(net)[0]
-
-
-def max_flow_with_arc_flows(net: FlowNetwork):
-    """Max flow value plus one optimal per-arc flow assignment."""
-    return _solve(net)
+    return max_flow_with_arc_flows(net)[0]
 
 
 def v_rank(g: MixedGraph, v: str, q) -> int:
@@ -202,10 +198,11 @@ def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
     Each path is a vertex sequence from a removable ancestor to a member of
     q (a single vertex for a trivial path).  Unit node capacities make every
     split node carry at most one flow unit, so the decomposition is a walk
-    along saturated arcs; ties follow declaration order.
+    along saturated arcs; ties follow declaration order.  There is one path
+    per flow unit, so the number of paths is the v-rank of q.
     """
     net = build_flow_network(g, v, q)
-    _, flows = _solve(net)
+    _, flows = max_flow_with_arc_flows(net)
     out_arcs = {}
     for (a, b), f in flows.items():
         if f > 0:
@@ -228,16 +225,9 @@ def is_identifiable(g: MixedGraph, v: str, q) -> bool:
     """Whether the coefficient vector of q into v is generically identifiable.
 
     Criterion: the v-rank of pa(v) minus q drops by exactly |q|, i.e.
-    r(pa \\ q) = r(pa) - |q|.
+    r(pa \\ q) = r(pa) - |q|; the known-coefficient criterion with k empty.
     """
-    if not is_acyclic(g):
-        raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
-    q = g.sort_vertices(q)
-    pa = set(g.parents(v))
-    if not set(q) <= pa:
-        raise NotAParentSubset(q, v)
-    rest = pa - set(q)
-    return v_rank(g, v, rest) == v_rank(g, v, pa) - len(q)
+    return is_identifiable_with_knowledge(g, v, q, ())
 
 
 def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
@@ -301,40 +291,44 @@ def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
     """Full report: column verdicts, single-edge verdicts, and path witnesses.
 
     A column is identifiable iff its v-rank reaches |pa(v)|; the whole matrix
-    iff every column is.  Identifiable columns carry one maximum flow
-    decomposed into a vertex-disjoint path system as a certificate.
+    iff every column is.  One maximum flow per column gives both the rank and,
+    decomposed into a vertex-disjoint path system, the certificate carried by
+    identifiable columns.  An edge u -> v into a non-identifiable column is
+    identifiable iff dropping u lowers that rank by exactly one.
     """
     if not is_acyclic(g):
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
     columns = {}
     for v in g.vertices:
         pa = g.parents(v)
-        rank = v_rank(g, v, pa)
+        paths = witness_paths(g, v, pa)
+        rank = len(paths)
         ok = rank == len(pa)
         columns[v] = ColumnVerdict(
             removable=g.sort_vertices(removable_ancestors(g, v)),
             rank=rank,
             identifiable=ok,
-            witness=witness_paths(g, v, pa) if ok else (),
+            witness=paths if ok else (),
         )
-    edges = {}
-    for u, v in g.directed:
-        if columns[v].identifiable:
-            edges[(u, v)] = True
-        else:
-            edges[(u, v)] = is_identifiable(g, v, (u,))
+    edges = {
+        (u, v): columns[v].identifiable
+        or v_rank(g, v, set(g.parents(v)) - {u}) == columns[v].rank - 1
+        for u, v in g.directed
+    }
     return IdentReport(graph_id=graph_id, columns=columns, edges=edges)
+
+
+def _column_full_rank(g: MixedGraph, v: str) -> bool:
+    """Whether the v-rank of pa(v) reaches |pa(v)|; parentless columns pass unsolved."""
+    pa = g.parents(v)
+    return not pa or v_rank(g, v, pa) == len(pa)
 
 
 def matrix_generically_identifiable(g: MixedGraph) -> bool:
     """Column check only, short-circuiting on the first failure."""
     if not is_acyclic(g):
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
-    for v in g.vertices:
-        pa = g.parents(v)
-        if pa and v_rank(g, v, pa) != len(pa):
-            return False
-    return True
+    return all(_column_full_rank(g, v) for v in g.vertices)
 
 
 def cyclic_necessary_condition(g: MixedGraph) -> dict:
@@ -345,7 +339,7 @@ def cyclic_necessary_condition(g: MixedGraph) -> dict:
     coefficient matrix is not identifiable; all True is necessary but not
     sufficient on cyclic graphs (a plain 2-cycle passes yet fails).
     """
-    return {v: v_rank(g, v, g.parents(v)) == len(g.parents(v)) for v in g.vertices}
+    return {v: _column_full_rank(g, v) for v in g.vertices}
 
 
 def _strongly_connected_components(g: MixedGraph) -> list:

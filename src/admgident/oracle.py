@@ -164,12 +164,17 @@ def brute_force_v_rank(g: MixedGraph, v: str, q, cap: int = ENUMERATION_CAP) -> 
     engine.
     """
     removable = g.sort_vertices(removable_ancestors(g, v))
-    q = g.sort_vertices(q)
+    return _enum_rank(g, removable, g.sort_vertices(q), cap)
+
+
+def _enum_rank(g: MixedGraph, removable, q, cap: int) -> int:
     for k in range(min(len(removable), len(q)), 0, -1):
-        for sources in combinations(removable, k):
-            for targets in combinations(q, k):
-                if path_system_exists(g, sources, targets, cap):
-                    return k
+        if any(
+            path_system_exists(g, sources, targets, cap)
+            for sources in combinations(removable, k)
+            for targets in combinations(q, k)
+        ):
+            return k
     return 0
 
 
@@ -380,75 +385,59 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5, v_rank_fn=No
     records (empty on agreement).  `v_rank_fn` may substitute the flow engine
     under test.
     """
-    checker = _GraphChecker(g, seed=seed, draws=draws, v_rank_fn=v_rank_fn)
-    return checker.run()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return _check_graph(g, draw_b_stack(g, rng, draws), v_rank_fn, {}, {})
 
 
-class _GraphChecker:
-    def __init__(self, g: MixedGraph, seed: int, draws: int, v_rank_fn=None, b_stack=None):
-        self.g = g
-        self.v_rank_fn = v_rank_fn or v_rank
-        if b_stack is None:
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            b_stack = draw_b_stack(g, rng, draws)
-        self.b_stack = b_stack
-        self._rank_cache = {}
-        self._enum_cache = {}
+def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache: dict):
+    """Mismatch records of one graph; see cross_check_graph.
 
-    def run(self):
-        mismatches = []
-        for v in self.g.vertices:
-            removable = self.g.sort_vertices(removable_ancestors(self.g, v))
-            pa = self.g.parents(v)
-            for size in range(len(pa) + 1):
-                for q in combinations(pa, size):
-                    flow = self.v_rank_fn(self.g, v, q)
-                    enum = self._enum_rank(removable, q)
-                    modal = self._modal_rank(removable, q)
-                    if not flow == enum == modal:
-                        mismatches.append(
-                            {
-                                "vertices": list(self.g.vertices),
-                                "directed": [list(e) for e in self.g.directed],
-                                "bidirected": [list(e) for e in self.g.bidirected],
-                                "v": v,
-                                "q": list(q),
-                                "flow": flow,
-                                "enumeration": enum,
-                                "numeric_rank": modal,
-                            }
-                        )
-        return mismatches
+    Both caches are keyed by (removable, Q).  The enumeration rank depends
+    only on that key and the directed part, the modal rank on that key and
+    `b_stack`, so callers may share the caches across graphs that agree on
+    the directed part and the parameter draws.
+    """
+    v_rank_fn = v_rank_fn or v_rank
+    mismatches = []
+    for v in g.vertices:
+        removable = g.sort_vertices(removable_ancestors(g, v))
+        pa = g.parents(v)
+        for size in range(len(pa) + 1):
+            for q in combinations(pa, size):
+                key = (removable, q)
+                flow = v_rank_fn(g, v, q)
+                if key not in enum_cache:
+                    enum_cache[key] = _enum_rank(g, removable, q, ENUMERATION_CAP)
+                if key not in rank_cache:
+                    rank_cache[key] = _modal_rank(g, b_stack, removable, q)
+                enum = enum_cache[key]
+                modal = rank_cache[key]
+                if not flow == enum == modal:
+                    mismatches.append(
+                        {
+                            "vertices": list(g.vertices),
+                            "directed": [list(e) for e in g.directed],
+                            "bidirected": [list(e) for e in g.bidirected],
+                            "v": v,
+                            "q": list(q),
+                            "flow": flow,
+                            "enumeration": enum,
+                            "numeric_rank": modal,
+                        }
+                    )
+    return mismatches
 
-    def _enum_rank(self, removable, q) -> int:
-        key = (removable, q)
-        if key not in self._enum_cache:
-            for k in range(min(len(removable), len(q)), -1, -1):
-                if k == 0:
-                    self._enum_cache[key] = 0
-                    break
-                if any(
-                    path_system_exists(self.g, s, t)
-                    for s in combinations(removable, k)
-                    for t in combinations(q, k)
-                ):
-                    self._enum_cache[key] = k
-                    break
-        return self._enum_cache[key]
 
-    def _modal_rank(self, removable, q) -> int:
-        key = (removable, q)
-        if key not in self._rank_cache:
-            if not removable or not q:
-                self._rank_cache[key] = 0
-            else:
-                rows = [self.g.index(u) for u in q]
-                cols = [self.g.index(u) for u in removable]
-                blocks = self.b_stack[:, rows, :][:, :, cols]
-                s = np.linalg.svd(blocks, compute_uv=False)
-                ranks = np.sum(s > RANK_TOL * s[:, :1], axis=1)
-                self._rank_cache[key] = int(Counter(ranks.tolist()).most_common(1)[0][0])
-        return self._rank_cache[key]
+def _modal_rank(g: MixedGraph, b_stack, removable, q) -> int:
+    """Most common numeric rank of the (q, removable) path-matrix block over the draws."""
+    if not removable or not q:
+        return 0
+    rows = [g.index(u) for u in q]
+    cols = [g.index(u) for u in removable]
+    blocks = b_stack[:, rows, :][:, :, cols]
+    s = np.linalg.svd(blocks, compute_uv=False)
+    ranks = np.sum(s > RANK_TOL * s[:, :1], axis=1)
+    return int(Counter(ranks.tolist()).most_common(1)[0][0])
 
 
 def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
@@ -477,18 +466,13 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
         for dag_idx, dag in enumerate(all_dags(p)):
             directed = [(vertices[a], vertices[b]) for a, b in dag]
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
-            b_stack = None
+            b_stack = draw_b_stack(MixedGraph(vertices, directed), rng, 5)
             rank_cache = {}
             enum_cache = {}
             for bid in all_bidirected_sets(p):
                 bidirected = [(vertices[a], vertices[b]) for a, b in bid]
                 g = MixedGraph(vertices, directed, bidirected)
-                if b_stack is None:
-                    b_stack = draw_b_stack(g, rng, 5)
-                checker = _GraphChecker(g, seed=0, draws=5, v_rank_fn=v_rank_fn, b_stack=b_stack)
-                checker._rank_cache = rank_cache
-                checker._enum_cache = enum_cache
-                found = checker.run()
+                found = _check_graph(g, b_stack, v_rank_fn, enum_cache, rank_cache)
                 graphs += 1
                 checks += sum(2 ** len(g.parents(v)) for v in g.vertices)
                 mismatches.extend(found)

@@ -19,6 +19,7 @@ from .admg import MixedGraph
 from .errors import (
     BindingMismatch,
     DegenerateParameters,
+    GraphFormatError,
     InvalidDensity,
     InvalidFactorGraph,
     UnsupportedOrder,
@@ -303,10 +304,16 @@ def write_dataset(ds: Dataset, path: str) -> None:
 
 
 def read_dataset(path: str) -> Dataset:
+    """Read a write_dataset CSV; no header row or a non-numeric cell is a GraphFormatError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        columns = next(reader)
-        values = np.array([[float(x) for x in row] for row in reader])
+        columns = next(reader, None)
+        if columns is None:
+            raise GraphFormatError(f"{path}: empty CSV, expected a header row")
+        try:
+            values = np.array([[float(x) for x in row] for row in reader])
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}: malformed data row: {exc}") from exc
     provenance = {}
     if os.path.exists(_meta_path(path)):
         with open(_meta_path(path), encoding="utf-8") as fh:

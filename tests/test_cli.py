@@ -1,10 +1,12 @@
 import json
+import signal
 
 import numpy as np
 import pytest
 
 from admgident import graph_to_json, read_dataset, sample_errors, ErrorModel
-from admgident.cli import main, survey
+from admgident.cli import _parse_densities, main, survey
+from admgident.errors import GraphFormatError
 from admgident.oracle import ParamMatrix
 from figures import confounded_diamond, iv_graph, two_cycle
 
@@ -50,6 +52,18 @@ class TestCheck:
     def test_unknown_key_exit_2(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"vertices": ["a"], "nodes": []}')
+        assert main(["check", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": "abc"},
+            {"vertices": ["a", "b"], "directed": ["ab"]},
+        ],
+    )
+    def test_non_array_fields_exit_2(self, tmp_path, doc):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 2
 
     def test_two_cycle_verdict(self, tmp_path, capsys):
@@ -116,9 +130,25 @@ class TestSurvey:
         assert len(out.read_text().strip().splitlines()) == 1
 
     def test_worker_count_does_not_change_results(self):
-        serial = survey(4, [0.4], 6, seed=3, workers=1)
-        parallel = survey(4, [0.4], 6, seed=3, workers=2)
+        serial = survey(4, [0.4, 0.7], 6, seed=3, workers=1)
+        parallel = survey(4, [0.4, 0.7], 6, seed=3, workers=2)
         assert serial == parallel
+        assert [row.density for row in serial] == [0.4, 0.7]
+
+    @pytest.mark.parametrize("text", ["0.1:0.9:0", "0.1:0.9:-0.1", "0.1:inf:0.1", "-inf:0.9:0.1"])
+    def test_densities_need_finite_bounds_and_positive_step(self, text):
+        # Without the check these ranges never end; the timer turns a hang into a failure.
+        def expire(signum, frame):
+            raise TimeoutError(f"_parse_densities({text!r}) did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            with pytest.raises(GraphFormatError):
+                _parse_densities(text)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestSimulate:
@@ -134,6 +164,12 @@ class TestSimulate:
         assert ds.values.shape == (40, 3)
         doc = json.loads(params.read_text())
         assert set(doc["edges"]) == {"v1->v2", "v2->v3"}
+
+    def test_zero_samples_exit_2(self, iv_file, tmp_path):
+        assert main(
+            ["simulate", iv_file, "--n", "0", "--params-out", str(tmp_path / "p.json"),
+             "--data-out", str(tmp_path / "d.csv")]
+        ) == 2
 
     def test_seed_reproducibility_byte_for_byte(self, iv_file, tmp_path):
         paths = []
@@ -180,6 +216,21 @@ class TestEstimate:
               "--params-out", str(tmp_path / "p.json"), "--data-out", str(data)])
         capsys.readouterr()
         assert main(["estimate", iv_file, str(data), "--init", "tv"]) == 2
+
+    @pytest.mark.parametrize("text", ["", "v1,v2,v3\n1.0,x,2.0\n"])
+    def test_malformed_csv_exit_2(self, iv_file, tmp_path, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert main(["estimate", iv_file, str(data)]) == 2
+
+    def test_out_file_matches_stdout(self, iv_file, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "fit.json"
+        main(["simulate", iv_file, "--n", "200", "--seed", "2",
+              "--params-out", str(tmp_path / "p.json"), "--data-out", str(data)])
+        capsys.readouterr()
+        assert main(["estimate", iv_file, str(data), "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_mismatched_columns_exit_3(self, iv_file, diamond_file, tmp_path, capsys):
         data = tmp_path / "data.csv"

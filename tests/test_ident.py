@@ -22,6 +22,7 @@ from admgident import (
     v_rank,
     witness_paths,
 )
+from admgident import ident
 from admgident.errors import CyclicGraph, NotAParentSubset, NotCycleDecomposable
 from admgident.ident import FlowNetwork
 from figures import (
@@ -217,6 +218,38 @@ class TestMatrixReport:
         assert doc["edges"]["v2->v4"] is True
         assert doc["columns"]["v4"]["removable"] == ["v1", "v2"]
         assert doc["columns"]["v4"]["witness"] == [["v1", "v3"], ["v2"]]
+
+    @pytest.mark.parametrize("p", [4, 5, 6, 7])
+    @pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
+    def test_report_agrees_with_single_edge_and_rank_criteria(self, p, density):
+        for seed in range(10):
+            g = random_admg(p, density, seed)
+            report = is_matrix_identifiable(g)
+            for (u, v), ok in report.edges.items():
+                assert ok == is_identifiable(g, v, (u,))
+            for v, col in report.columns.items():
+                assert col.rank == v_rank(g, v, g.parents(v))
+                if col.identifiable:
+                    assert col.rank == len(col.witness) == len(g.parents(v))
+                else:
+                    assert col.witness == ()
+
+    def test_one_flow_network_per_column_plus_one_per_edge_into_a_failing_column(self, monkeypatch):
+        builds = []
+        build = ident.build_flow_network
+
+        def counting_build(g, v, q):
+            builds.append((v, q))
+            return build(g, v, q)
+
+        monkeypatch.setattr(ident, "build_flow_network", counting_build)
+        for density in (0.3, 0.6, 0.9):
+            for seed in range(10):
+                g = random_admg(6, density, seed)
+                builds.clear()
+                report = is_matrix_identifiable(g)
+                failing = [v for v, col in report.columns.items() if not col.identifiable]
+                assert len(builds) == g.num_vertices + sum(len(g.parents(v)) for v in failing)
 
     def test_fast_path_agrees_with_report(self):
         for seed in range(40):
