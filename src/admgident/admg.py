@@ -313,7 +313,7 @@ def graph_from_json(text: str) -> MixedGraph:
         raise GraphFormatError(f"unknown keys in graph document: {sorted(unknown)}")
     if "vertices" not in doc:
         raise GraphFormatError("graph document lacks 'vertices'")
-    vertices = _array(doc, "vertices")
+    vertices = _names(doc, "vertices")
     directed = _pairs(doc, "directed")
     bidirected = _pairs(doc, "bidirected")
     try:
@@ -340,8 +340,8 @@ def factor_graph_from_json(text: str) -> LatentFactorGraph:
     for key in ("vertices", "latents", "loadings"):
         if key not in doc:
             raise GraphFormatError(f"factor document lacks {key!r}")
-    vertices = _array(doc, "vertices")
-    latents = _array(doc, "latents")
+    vertices = _names(doc, "vertices")
+    latents = _names(doc, "latents")
     loadings = _pairs(doc, "loadings")
     weights = None
     if doc.get("weights") is not None:
@@ -374,11 +374,19 @@ def _array(doc: dict, key: str) -> list:
     return value
 
 
+def _names(doc: dict, key: str) -> list:
+    """The array of names under `key`; every name must be a JSON string."""
+    names = _array(doc, key)
+    if not all(isinstance(x, str) for x in names):
+        raise GraphFormatError(f"{key!r} must be an array of strings")
+    return names
+
+
 def _pairs(doc: dict, key: str) -> list:
-    """The edge list under `key` as tuples; every edge must itself be a JSON array."""
+    """The edge list under `key` as tuples; every edge must be an array of name strings."""
     edges = _array(doc, key)
-    if not all(isinstance(e, list) for e in edges):
-        raise GraphFormatError(f"{key!r} must be an array of [u, v] arrays")
+    if not all(isinstance(e, list) and all(isinstance(x, str) for x in e) for e in edges):
+        raise GraphFormatError(f"{key!r} must be an array of [u, v] arrays of strings")
     return [tuple(e) for e in edges]
 
 

@@ -29,6 +29,8 @@ from .errors import (
 )
 
 WORKERS_ENV = "ADMGIDENT_WORKERS"
+# Upper bound on the number of values one --densities range may expand to.
+MAX_DENSITIES = 10_000
 
 
 @dataclass(frozen=True)
@@ -243,8 +245,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_vertices > 6:
-        raise GraphFormatError("--max-vertices is capped at 6")
+    if not 1 <= args.max_vertices <= 6:
+        raise GraphFormatError(f"--max-vertices must lie in 1..6, got {args.max_vertices}")
+    if args.samples < 0:
+        raise GraphFormatError(f"--samples must be >= 0, got {args.samples}")
     report = oracle.verify_sweep(args.max_vertices, seed=args.seed, sample_count=args.samples)
     summary = {
         "graphs": report["graphs"],
@@ -312,12 +316,19 @@ def _parse_densities(text: str):
     out = []
     d = start
     while d <= stop + 1e-9:
+        # Bounded here, not by a count formula: a step below half an ulp of d never moves d.
+        if len(out) == MAX_DENSITIES:
+            raise GraphFormatError(f"--densities {text!r} holds more than {MAX_DENSITIES} values")
         out.append(round(d, 10))
         d += step
+    if not out:
+        raise GraphFormatError(f"--densities {text!r} is an empty range (start above stop)")
     return out
 
 
 def cmd_survey(args) -> int:
+    if args.reps < 0:
+        raise GraphFormatError(f"--reps must be >= 0, got {args.reps}")
     densities = _parse_densities(args.densities)
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     rows = survey(args.p, densities, args.reps, args.seed, workers=workers)

@@ -174,14 +174,16 @@ def _value_and_gradient(g: MixedGraph, lam_dense: np.ndarray, x: np.ndarray, ker
     r = x @ (np.eye(p) - lam_dense)
     pairs = independent_pairs(g)
     needs_grad = {v for v in g.vertices if g.parents(v)}
+    feats = {v: _poly_features(r[:, g.index(v)], kernels[v], v in needs_grad)
+             for v in g.vertices if kernels[v].kind == POLYNOMIAL}
     gcol = {v: None for v in g.vertices}
     total = 0.0
     for u, v in pairs:
         ku, kv = kernels[u], kernels[v]
-        ru, rv = r[:, g.index(u)], r[:, g.index(v)]
         if ku.kind == POLYNOMIAL and kv.kind == POLYNOMIAL:
-            value, gu, gv = _hsic_grads_poly(ru, rv, ku, kv, u in needs_grad, v in needs_grad)
+            value, gu, gv = _hsic_grads_poly(feats[u], feats[v], n)
         else:
+            ru, rv = r[:, g.index(u)], r[:, g.index(v)]
             value, gu, gv = _hsic_grads_gram(ru, rv, ku, kv, u in needs_grad, v in needs_grad)
         total += value
         for name, gvec in ((u, gu), (v, gv)):
@@ -195,41 +197,34 @@ def _value_and_gradient(g: MixedGraph, lam_dense: np.ndarray, x: np.ndarray, ker
     return total, grad, edges
 
 
-def _poly_features(x: np.ndarray, spec: KernelSpec):
-    """Feature map of (x*y + c)^d: columns sqrt(C(d,k) c^(d-k)) x^k."""
-    coef = [math.sqrt(math.comb(spec.degree, k) * spec.offset ** (spec.degree - k)) for k in range(spec.degree + 1)]
-    powers = np.vander(x, spec.degree + 1, increasing=True)
-    return powers * np.asarray(coef)
+def _poly_features(x: np.ndarray, spec: KernelSpec, need_deriv: bool):
+    """Centered features sqrt(C(d,k) c^(d-k)) x^k of (x*y + c)^d, and their x-derivative if asked."""
+    d = spec.degree
+    coef = np.array([math.sqrt(math.comb(d, k) * spec.offset ** (d - k)) for k in range(d + 1)])
+    powers = np.vander(x, d + 1, increasing=True)
+    f = powers * coef
+    deriv = None
+    if need_deriv:
+        deriv = np.zeros_like(powers)
+        deriv[:, 1:] = powers[:, :-1] * (coef[1:] * np.arange(1, d + 1))
+    return f - f.mean(axis=0), deriv
 
 
-def _poly_feature_derivs(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    coef = [math.sqrt(math.comb(spec.degree, k) * spec.offset ** (spec.degree - k)) for k in range(spec.degree + 1)]
-    out = np.zeros((x.shape[0], spec.degree + 1))
-    powers = np.vander(x, spec.degree, increasing=True)
-    for k in range(1, spec.degree + 1):
-        out[:, k] = coef[k] * k * powers[:, k - 1]
-    return out
-
-
-def _hsic_grads_poly(x, y, kx, ky, need_gx, need_gy):
-    """HSIC and residual-space gradients through the finite feature map.
+def _hsic_grads_poly(fx, fy, n):
+    """HSIC and residual-space gradients from two _poly_features results.
 
     For polynomial kernels trace(Kx H Ky H) equals the squared Frobenius
     norm of the centered feature cross-covariance, which costs O(n) instead
-    of O(n^2).
+    of O(n^2).  A side's gradient is None when its derivative is.
     """
-    n = x.shape[0]
-    fx = _poly_features(x, kx)
-    fy = _poly_features(y, ky)
-    fxc = fx - fx.mean(axis=0)
-    fyc = fy - fy.mean(axis=0)
+    (fxc, dx), (fyc, dy) = fx, fy
     cross = fxc.T @ fyc
     value = float(np.sum(cross * cross)) / n**2
     gx = gy = None
-    if need_gx:
-        gx = (2.0 / n**2) * np.sum(_poly_feature_derivs(x, kx) * (fyc @ cross.T), axis=1)
-    if need_gy:
-        gy = (2.0 / n**2) * np.sum(_poly_feature_derivs(y, ky) * (fxc @ cross), axis=1)
+    if dx is not None:
+        gx = (2.0 / n**2) * np.sum(dx * (fyc @ cross.T), axis=1)
+    if dy is not None:
+        gy = (2.0 / n**2) * np.sum(dy * (fxc @ cross), axis=1)
     return value, gx, gy
 
 
@@ -359,11 +354,11 @@ def fit(
     x0 = np.array([init.values.get(edge, 0.0) for edge in edges])
     x0 = np.clip(x0, [b[0] for b in bounds], [b[1] for b in bounds]) if len(edges) else x0
     x_data = ds.values
+    index = ([g.index(u) for u, _ in edges], [g.index(v) for _, v in edges])
 
     def pack(vec: np.ndarray) -> np.ndarray:
         lam = np.zeros((p, p))
-        for i, (u, v) in enumerate(edges):
-            lam[g.index(u), g.index(v)] = vec[i]
+        lam[index] = vec
         return lam
 
     def fun(vec):
@@ -374,8 +369,8 @@ def fit(
 
     trace = [fun(x0)[0]]
 
-    def record(xk):
-        trace.append(fun(xk)[0])
+    def record(intermediate_result):
+        trace.append(intermediate_result.fun)
 
     if not edges:
         return EstimateResult(

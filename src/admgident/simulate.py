@@ -128,6 +128,8 @@ def random_admg(p: int, density: float, seed: int) -> MixedGraph:
     e = math.floor(density * p * (p - 1))
     if e < 1:
         raise InvalidDensity(f"density {density} yields no edges for p={p}")
+    if e > p * (p - 1):
+        raise InvalidDensity(f"density {density} yields {e} edges, more than the {p * (p - 1)} possible for p={p}")
     max_pairs = p * (p - 1) // 2
     rng = _stream(seed, _K_GRAPH)
     order = rng.permutation(p)
@@ -304,16 +306,27 @@ def write_dataset(ds: Dataset, path: str) -> None:
 
 
 def read_dataset(path: str) -> Dataset:
-    """Read a write_dataset CSV; no header row or a non-numeric cell is a GraphFormatError."""
+    """Read a write_dataset CSV.
+
+    A missing header, no data rows, a row whose width differs from the
+    header's, or a non-numeric or non-finite cell is a GraphFormatError.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         columns = next(reader, None)
         if columns is None:
             raise GraphFormatError(f"{path}: empty CSV, expected a header row")
         try:
-            values = np.array([[float(x) for x in row] for row in reader])
+            rows = [[float(x) for x in row] for row in reader]
         except ValueError as exc:
             raise GraphFormatError(f"{path}: malformed data row: {exc}") from exc
+    if not rows:
+        raise GraphFormatError(f"{path}: no data rows after the header")
+    if any(len(row) != len(columns) for row in rows):
+        raise GraphFormatError(f"{path}: every data row needs {len(columns)} cells, one per header column")
+    values = np.array(rows)
+    if not np.all(np.isfinite(values)):
+        raise GraphFormatError(f"{path}: data cells must be finite numbers")
     provenance = {}
     if os.path.exists(_meta_path(path)):
         with open(_meta_path(path), encoding="utf-8") as fh:

@@ -236,6 +236,9 @@ class TestJson:
             {"vertices": ["a"], "latents": ["l"], "loadings": ["la"]},
             {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": "1"},
             {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": ["x"]},
+            {"vertices": [1], "latents": ["l"], "loadings": [["l", "1"]]},
+            {"vertices": ["a"], "latents": [None], "loadings": [["None", "a"]]},
+            {"vertices": ["1"], "latents": ["l"], "loadings": [["l", 1]]},
         ],
     )
     def test_factor_fields_must_be_arrays_of_the_right_values(self, doc):

@@ -59,6 +59,11 @@ class TestCheck:
         [
             {"vertices": "abc"},
             {"vertices": ["a", "b"], "directed": ["ab"]},
+            {"vertices": [1, 2]},
+            {"vertices": [None, "b"]},
+            {"vertices": [["a"], "b"]},
+            {"vertices": ["1", "b"], "directed": [[1, "b"]]},
+            {"vertices": ["1", "b"], "bidirected": [["b", 1]]},
         ],
     )
     def test_non_array_fields_exit_2(self, tmp_path, doc):
@@ -112,6 +117,12 @@ class TestVerify:
     def test_cap_enforced(self, capsys):
         assert main(["verify", "--max-vertices", "7"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["--max-vertices", "0"], ["--max-vertices", "-1"], ["--max-vertices", "2", "--samples", "-3"]]
+    )
+    def test_counts_out_of_range_exit_2(self, argv):
+        assert main(["verify", *argv]) == 2
+
 
 class TestSurvey:
     def test_rows_and_csv(self, tmp_path, capsys):
@@ -129,15 +140,25 @@ class TestSurvey:
         assert main(["survey", "--p", "4", "--densities", "0.5:0.5:0.1", "--reps", "0", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 1
 
+    def test_negative_reps_exit_2(self):
+        assert main(["survey", "--p", "4", "--densities", "0.5:0.5:0.1", "--reps", "-2"]) == 2
+
+    def test_density_above_one_exit_3(self, capsys):
+        assert main(["survey", "--p", "5", "--densities", "1.5:1.5:0.1", "--reps", "1"]) == 3
+        assert "yields 30 edges" in capsys.readouterr().err
+
     def test_worker_count_does_not_change_results(self):
         serial = survey(4, [0.4, 0.7], 6, seed=3, workers=1)
         parallel = survey(4, [0.4, 0.7], 6, seed=3, workers=2)
         assert serial == parallel
         assert [row.density for row in serial] == [0.4, 0.7]
 
-    @pytest.mark.parametrize("text", ["0.1:0.9:0", "0.1:0.9:-0.1", "0.1:inf:0.1", "-inf:0.9:0.1"])
+    @pytest.mark.parametrize(
+        "text",
+        ["0.1:0.9:0", "0.1:0.9:-0.1", "0.1:inf:0.1", "-inf:0.9:0.1", "0:1:1e-300", "0.9:0.1:0.1", "1e20:1e20:1"],
+    )
     def test_densities_need_finite_bounds_and_positive_step(self, text):
-        # Without the check these ranges never end; the timer turns a hang into a failure.
+        # Without the checks these ranges never end (or come out empty); the timer turns a hang into a failure.
         def expire(signum, frame):
             raise TimeoutError(f"_parse_densities({text!r}) did not return")
 
@@ -217,11 +238,22 @@ class TestEstimate:
         capsys.readouterr()
         assert main(["estimate", iv_file, str(data), "--init", "tv"]) == 2
 
-    @pytest.mark.parametrize("text", ["", "v1,v2,v3\n1.0,x,2.0\n"])
-    def test_malformed_csv_exit_2(self, iv_file, tmp_path, text):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "v1,v2,v3\n1.0,x,2.0\n",
+            "v1,v2,v3\n",
+            "v1,v2,v3\n1.0,nan,2.0\n",
+            "v1,v2,v3\n1.0,2.0,-inf\n",
+            "v1,v2,v3\n1.0,2.0,3.0,4.0\n",
+        ],
+    )
+    def test_malformed_csv_exit_2(self, iv_file, tmp_path, capsys, text):
         data = tmp_path / "data.csv"
         data.write_text(text)
         assert main(["estimate", iv_file, str(data)]) == 2
+        assert str(data) in capsys.readouterr().err
 
     def test_out_file_matches_stdout(self, iv_file, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -35,7 +35,9 @@ from admgident.estimate import (
     resolve_kernel,
     _hsic_grads_gram,
     _hsic_grads_poly,
+    _poly_features,
 )
+from admgident import estimate
 from figures import confounded_diamond, double_confounder, iv_graph
 
 
@@ -121,7 +123,7 @@ class TestHsic:
         for deg, off in ((1, 1.0), (2, 1.0), (2, 0.0), (3, 2.0)):
             kx = ky = polynomial_kernel(deg, off)
             vg, gxg, gyg = _hsic_grads_gram(x, y, kx, ky, True, True)
-            vp, gxp, gyp = _hsic_grads_poly(x, y, kx, ky, True, True)
+            vp, gxp, gyp = _hsic_grads_poly(_poly_features(x, kx, True), _poly_features(y, ky, True), len(x))
             assert vg == pytest.approx(vp, rel=1e-10)
             assert np.allclose(gxg, gxp, atol=1e-12)
             assert np.allclose(gyg, gyp, atol=1e-12)
@@ -296,6 +298,38 @@ class TestFit:
         data = sample_errors(g, ErrorModel(), 50, seed=0)
         res = fit(g, data, polynomial_kernel(), ParamMatrix(g, {}))
         assert res.lam_hat.values == {} and res.converged
+
+    def test_one_evaluation_per_scipy_call_and_one_feature_map_per_column(self, monkeypatch):
+        g = confounded_diamond()
+        lam = sample_parameters(g, seed=16)
+        data = generate_data(g, lam, sample_errors(g, ErrorModel(), 400, seed=16))
+        calls = {"_value_and_gradient": 0, "_poly_features": 0}
+        scipy_results = []
+
+        def counted(name):
+            inner = getattr(estimate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(estimate, name, wrapper)
+
+        real_minimize = estimate.minimize
+
+        def minimize(*args, **kwargs):
+            scipy_results.append(real_minimize(*args, **kwargs))
+            return scipy_results[-1]
+
+        monkeypatch.setattr(estimate, "minimize", minimize)
+        counted("_value_and_gradient")
+        counted("_poly_features")
+        res = fit(g, data, polynomial_kernel(2, 1.0), regression_init(g, data))
+        evaluations = calls["_value_and_gradient"]
+        assert res.iterations > 1
+        assert evaluations == scipy_results[0].nfev + 1
+        assert calls["_poly_features"] == g.num_vertices * evaluations
+        assert len(res.objective_trace) == res.iterations + 1
 
     def test_multistart_never_worse(self):
         g = double_confounder()

@@ -46,6 +46,10 @@ class TestRandomAdmg:
         with pytest.raises(InvalidDensity):
             random_admg(3, 0.05, seed=0)
 
+    def test_density_above_one(self):
+        with pytest.raises(InvalidDensity):
+            random_admg(5, 1.5, seed=0)
+
     def test_high_density_feasible(self):
         g = random_admg(5, 1.0, seed=3)
         assert len(g.directed) + len(g.bidirected) == 20
