@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (GraphFormatError, OSError, json.JSONDecodeError) as exc:
+    except (GraphFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GraphError, BindingMismatch, NotCycleDecomposable) as exc:
@@ -59,6 +59,14 @@ def main(argv=None) -> int:
     except AdmgIdentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+
+def _seed(text: str) -> int:
+    """argparse type of every --seed: numpy's SeedSequence takes only integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="triple-oracle agreement sweep")
     p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=int, default=1000, help="random graphs per size above 4")
     p.set_defaults(handler=cmd_verify)
 
@@ -91,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--densities", default="0.1:0.9:0.1", help="start:stop:step (inclusive)")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(handler=cmd_survey)
 
@@ -99,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", choices=["laplace", "uniform"], default="laplace")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--params-out", required=True)
     p.add_argument("--data-out", required=True)
     p.set_defaults(handler=cmd_simulate)
@@ -110,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=["poly2", "rbf"], default="poly2")
     p.add_argument("--init", choices=["reg", "tv", "random"], default="reg")
     p.add_argument("--true-params", help="parameter JSON for loss reporting / tv init")
-    p.add_argument("--seed", type=int, default=0, help="seed for random init")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for random init")
     p.add_argument("--out", help="write the result JSON to this file")
     p.set_defaults(handler=cmd_estimate)
     return parser

@@ -25,10 +25,6 @@ from .errors import (
     NotCycleDecomposable,
 )
 
-_SOURCE = "s"
-_SINK = "t"
-
-
 def removable_ancestors(g: MixedGraph, v: str) -> frozenset:
     """Ancestors u of v (u != v) that have a sibling outside Sib(v)."""
     g._require(v)
@@ -60,6 +56,28 @@ class FlowNetwork:
     splits: tuple[tuple[str, str, str], ...] = field(default=())
 
 
+def _network(g: MixedGraph, v: str, q):
+    """Strict ancestors of v and the integer arcs (tail, head, capacity) for q.
+
+    Node 0 is the source, node 1 the sink, and nodes 2i + 2 and 2i + 3 the
+    in- and out-node of the i-th ancestor.  Arcs run split, source (removable
+    order), sink (q order), then directed edges (`g.directed` order); Dinic's
+    tie-breaks, and so the witness paths, follow this order.
+    """
+    g._require(v)
+    q = g.sort_vertices(q)
+    if not set(q) <= set(g.parents(v)):
+        raise NotAParentSubset(q, v)
+    anc = g.sort_vertices(g.ancestors(v) - {v})
+    node_in = {u: 2 * i + 2 for i, u in enumerate(anc)}
+    big_m = g.num_vertices + 1
+    arcs = [(node_in[u], node_in[u] + 1, 1) for u in anc]
+    arcs += [(0, node_in[u], big_m) for u in g.sort_vertices(removable_ancestors(g, v))]
+    arcs += [(node_in[u] + 1, 1, big_m) for u in q]
+    arcs += [(node_in[a] + 1, node_in[b], big_m) for a, b in g.directed if a in node_in and b in node_in]
+    return anc, arcs
+
+
 def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
     """Network whose max flow equals the v-rank of q.
 
@@ -68,63 +86,33 @@ def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
     removable ancestors, q drains into the sink, and the directed edges of g
     with both endpoints among the ancestors are kept.
     """
-    g._require(v)
-    q = g.sort_vertices(q)
-    pa = set(g.parents(v))
-    if not set(q) <= pa:
-        raise NotAParentSubset(q, v)
-    anc = g.sort_vertices(g.ancestors(v) - {v})
-    removable = g.sort_vertices(removable_ancestors(g, v))
-    big_m = g.num_vertices + 1
-
-    def node_in(u):
-        return f"{u}.in"
-
-    def node_out(u):
-        return f"{u}.out"
-
-    nodes = [_SOURCE, _SINK]
-    splits = []
-    arcs = []
-    for u in anc:
-        nodes.extend([node_in(u), node_out(u)])
-        splits.append((u, node_in(u), node_out(u)))
-        arcs.append((node_in(u), node_out(u), 1))
-    for u in removable:
-        arcs.append((_SOURCE, node_in(u), big_m))
-    for u in q:
-        arcs.append((node_out(u), _SINK, big_m))
-    anc_set = set(anc)
-    for a, b in g.directed:
-        if a in anc_set and b in anc_set:
-            arcs.append((node_out(a), node_in(b), big_m))
+    anc, arcs = _network(g, v, q)
+    names = ["s", "t"] + [f"{u}.{side}" for u in anc for side in ("in", "out")]
     return FlowNetwork(
-        nodes=tuple(nodes),
-        arcs=tuple(arcs),
-        source=_SOURCE,
-        sink=_SINK,
-        splits=tuple(splits),
+        nodes=tuple(names),
+        arcs=tuple((names[a], names[b], c) for a, b, c in arcs),
+        source=names[0],
+        sink=names[1],
+        splits=tuple((u, names[2 * i + 2], names[2 * i + 3]) for i, u in enumerate(anc)),
     )
 
 
 class _Dinic:
-    """Dinitz max flow: BFS level graph plus DFS blocking flows."""
+    """Dinitz max flow: BFS level graph plus DFS blocking flows.
 
-    def __init__(self, n: int):
+    Arc k sits at index 2k and its reverse at 2k + 1, which holds its flow.
+    """
+
+    def __init__(self, n: int, arcs):
         self.n = n
         self.adj = [[] for _ in range(n)]
         self.to = []
         self.cap = []
-
-    def add_arc(self, u: int, v: int, c: int) -> int:
-        arc_id = len(self.to)
-        self.adj[u].append(arc_id)
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(arc_id + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return arc_id
+        for u, w, c in arcs:
+            self.adj[u].append(len(self.to))
+            self.adj[w].append(len(self.to) + 1)
+            self.to += (w, u)
+            self.cap += (c, 0)
 
     def _levels(self, s: int, t: int):
         level = [-1] * self.n
@@ -167,19 +155,27 @@ class _Dinic:
                     break
                 total += got
 
+    def reroutes(self, k: int, t: int) -> bool:
+        """Whether a residual path leads from arc k's tail to t without arc k."""
+        saved, self.cap[2 * k] = self.cap[2 * k], 0
+        found = self._levels(self.to[2 * k + 1], t) is not None
+        self.cap[2 * k] = saved
+        return found
+
+
+def _solve(g: MixedGraph, v: str, q):
+    """Ancestors, arcs and solved `_Dinic` of the network for q, plus its max flow."""
+    anc, arcs = _network(g, v, q)
+    solver = _Dinic(2 * len(anc) + 2, arcs)
+    return anc, arcs, solver, solver.max_flow(0, 1)
+
 
 def max_flow_with_arc_flows(net: FlowNetwork):
     """Max flow value plus one optimal per-arc flow assignment."""
     index = {u: i for i, u in enumerate(net.nodes)}
-    solver = _Dinic(len(net.nodes))
-    arc_ids = []
-    for u, w, c in net.arcs:
-        arc_ids.append(solver.add_arc(index[u], index[w], int(c)))
+    solver = _Dinic(len(net.nodes), [(index[u], index[w], int(c)) for u, w, c in net.arcs])
     value = solver.max_flow(index[net.source], index[net.sink])
-    flows = {}
-    for (u, w, c), a in zip(net.arcs, arc_ids):
-        flows[(u, w)] = int(c) - solver.cap[a]
-    return value, flows
+    return value, dict(zip(((u, w) for u, w, _ in net.arcs), solver.cap[1::2]))
 
 
 def max_flow(net: FlowNetwork) -> int:
@@ -189,7 +185,7 @@ def max_flow(net: FlowNetwork) -> int:
 
 def v_rank(g: MixedGraph, v: str, q) -> int:
     """Largest vertex-disjoint path system from the removable ancestors into q."""
-    return max_flow(build_flow_network(g, v, q))
+    return _solve(g, v, q)[3]
 
 
 def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
@@ -201,21 +197,24 @@ def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
     along saturated arcs; ties follow declaration order.  There is one path
     per flow unit, so the number of paths is the v-rank of q.
     """
-    net = build_flow_network(g, v, q)
-    _, flows = max_flow_with_arc_flows(net)
+    anc, arcs, solver, _ = _solve(g, v, q)
+    return _paths(anc, arcs, solver.cap[1::2])
+
+
+def _paths(anc, arcs, flows) -> tuple[tuple[str, ...], ...]:
+    """Walk the arcs of `_network` that carry flow from the source to the sink."""
     out_arcs = {}
-    for (a, b), f in flows.items():
+    for (a, b, _), f in zip(arcs, flows):
         if f > 0:
             out_arcs.setdefault(a, deque()).append(b)
-    in_of = {nin: u for u, nin, _ in net.splits}
     paths = []
-    starts = out_arcs.get(net.source, deque())
+    starts = out_arcs.get(0, deque())
     while starts:
         node = starts.popleft()
         path = []
-        while node != net.sink:
-            if node in in_of:
-                path.append(in_of[node])
+        while node != 1:
+            if node % 2 == 0:
+                path.append(anc[node // 2 - 1])
             node = out_arcs[node].popleft()
         paths.append(tuple(path))
     return tuple(paths)
@@ -294,27 +293,28 @@ def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
     iff every column is.  One maximum flow per column gives both the rank and,
     decomposed into a vertex-disjoint path system, the certificate carried by
     identifiable columns.  An edge u -> v into a non-identifiable column is
-    identifiable iff dropping u lowers that rank by exactly one.
+    identifiable iff dropping u lowers that rank by exactly one: u's sink arc
+    carries flow that no residual path reroutes to the sink (the coloop test
+    of the gammoid, Mason 1972), so no second solve is needed.
     """
     if not is_acyclic(g):
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
     columns = {}
+    verdicts = {}
     for v in g.vertices:
         pa = g.parents(v)
-        paths = witness_paths(g, v, pa)
-        rank = len(paths)
+        anc, arcs, solver, rank = _solve(g, v, pa)
         ok = rank == len(pa)
         columns[v] = ColumnVerdict(
             removable=g.sort_vertices(removable_ancestors(g, v)),
             rank=rank,
             identifiable=ok,
-            witness=paths if ok else (),
+            witness=_paths(anc, arcs, solver.cap[1::2]) if ok else (),
         )
-    edges = {
-        (u, v): columns[v].identifiable
-        or v_rank(g, v, set(g.parents(v)) - {u}) == columns[v].rank - 1
-        for u, v in g.directed
-    }
+        for k, (a, b, _) in enumerate(arcs):
+            if b == 1:
+                verdicts[anc[a // 2 - 1], v] = ok or (solver.cap[2 * k + 1] > 0 and not solver.reroutes(k, 1))
+    edges = {e: verdicts[e] for e in g.directed}
     return IdentReport(graph_id=graph_id, columns=columns, edges=edges)
 
 

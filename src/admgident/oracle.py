@@ -8,6 +8,7 @@ search, and the linear system whose solution space is the parameter fiber.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -18,6 +19,7 @@ from .admg import MixedGraph, is_acyclic
 from .errors import (
     BindingMismatch,
     CyclicGraph,
+    GraphFormatError,
     SingularMatrix,
     SizeMismatch,
     TooLarge,
@@ -71,9 +73,16 @@ class ParamMatrix:
 
     @staticmethod
     def from_json(graph: MixedGraph, text: str) -> "ParamMatrix":
+        """Inverse of to_json; a malformed document is a GraphFormatError."""
         doc = json.loads(text)
+        edges = doc.get("edges", {}) if isinstance(doc, dict) else None
+        if not isinstance(edges, dict):
+            raise GraphFormatError("parameter JSON must be an object whose 'edges' is an object")
         values = {}
-        for key, x in doc.get("edges", {}).items():
+        for key, x in edges.items():
+            # abs(x) <= max also rejects NaN, and ints that float() cannot hold.
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+                raise GraphFormatError(f"parameter {key!r} must be a finite number, got {x!r:.40}")
             u, _, v = key.partition("->")
             values[(u, v)] = float(x)
         return ParamMatrix(graph, values)

@@ -3,6 +3,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admgident import graph_to_json, read_dataset, sample_errors, ErrorModel
 from admgident.cli import _parse_densities, main, survey
@@ -23,6 +25,31 @@ def iv_file(tmp_path):
     path = tmp_path / "iv.json"
     path.write_text(graph_to_json(iv_graph()))
     return str(path)
+
+
+@pytest.fixture
+def iv_data(iv_file, tmp_path, capsys):
+    """A 30-row dataset on the IV graph, with the parameters that made it."""
+    params, data = tmp_path / "iv_params.json", tmp_path / "iv_data.csv"
+    main(["simulate", iv_file, "--n", "30", "--seed", "1",
+          "--params-out", str(params), "--data-out", str(data)])
+    capsys.readouterr()
+    return str(data), str(params)
+
+
+@pytest.mark.parametrize("command", ["survey", "verify", "simulate", "estimate"])
+def test_negative_seed_exit_2(command, iv_file, iv_data, tmp_path, capsys):
+    argv = {
+        "survey": ["survey", "--p", "4", "--densities", "0.5:0.5:0.1", "--reps", "1"],
+        "verify": ["verify", "--max-vertices", "2"],
+        "simulate": ["simulate", iv_file, "--n", "5", "--params-out", str(tmp_path / "p.json"),
+                     "--data-out", str(tmp_path / "d.csv")],
+        "estimate": ["estimate", iv_file, iv_data[0], "--init", "random"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -69,6 +96,11 @@ class TestCheck:
     def test_non_array_fields_exit_2(self, tmp_path, doc):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+
+    def test_non_utf8_graph_exit_2(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00{}")
         assert main(["check", str(path)]) == 2
 
     def test_two_cycle_verdict(self, tmp_path, capsys):
@@ -255,6 +287,32 @@ class TestEstimate:
         assert main(["estimate", iv_file, str(data)]) == 2
         assert str(data) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["data", "params"])
+    def test_non_utf8_file_exit_2(self, iv_file, iv_data, tmp_path, which):
+        bad = tmp_path / "utf16"
+        bad.write_bytes(b"\xff\xfe\x00v1")
+        data, params = (str(bad), iv_data[1]) if which == "data" else (iv_data[0], str(bad))
+        assert main(["estimate", iv_file, data, "--true-params", params]) == 2
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("[1]", 2),
+            ('{"edges": [1]}', 2),
+            ('{"edges": {"v1->v2": "x"}}', 2),
+            ('{"edges": {"v1->v2": true}}', 2),
+            ('{"edges": {"v1->v2": NaN}}', 2),
+            ('{"edges": {"v1->v2": 1e400}}', 2),
+            pytest.param('{"edges": {"v1->v2": 1' + "0" * 400 + "}}", 2, id="int-beyond-float"),
+            ('{"edges": {"v1->v3": 1.0}}', 3),
+        ],
+    )
+    def test_malformed_true_params(self, iv_file, iv_data, tmp_path, capsys, text, code):
+        params = tmp_path / "bad_params.json"
+        params.write_text(text)
+        assert main(["estimate", iv_file, iv_data[0], "--true-params", str(params)]) == code
+        assert capsys.readouterr().out == ""
+
     def test_out_file_matches_stdout(self, iv_file, tmp_path, capsys):
         data = tmp_path / "data.csv"
         out = tmp_path / "fit.json"
@@ -270,3 +328,52 @@ class TestEstimate:
               "--params-out", str(tmp_path / "p.json"), "--data-out", str(data)])
         capsys.readouterr()
         assert main(["estimate", iv_file, str(data)]) == 3
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_NAMES = st.sampled_from(["v1", "v2", "v3", "v4"])
+_EDGE_LISTS = st.lists(st.lists(_NAMES, min_size=1, max_size=3), max_size=6)
+_GRAPH_DOCS = _JSON | st.fixed_dictionaries(
+    {"vertices": st.lists(_NAMES, max_size=4) | _JSON},
+    optional={"directed": _EDGE_LISTS | _JSON, "bidirected": _EDGE_LISTS | _JSON, "nodes": _JSON},
+)
+_PARAM_DOCS = _JSON | st.fixed_dictionaries(
+    {"edges": st.dictionaries(st.sampled_from(["v1->v2", "v2->v3", "v1->v3", "v1"]), _JSON, max_size=3) | _JSON},
+    optional={"vertices": _JSON},
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """IV graph and a 30-row dataset in a directory every example may overwrite."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "iv.json").write_text(graph_to_json(iv_graph()))
+    main(["simulate", str(root / "iv.json"), "--n", "30", "--seed", "1",
+          "--params-out", str(root / "params.json"), "--data-out", str(root / "data.csv")])
+    return root
+
+
+class TestInputFuzz:
+    """Random documents through cli.main: only exit codes 0, 2 and 3, never an exception."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_GRAPH_DOCS | st.binary(max_size=16))
+    def test_graph_documents(self, fuzz_files, doc):
+        path = fuzz_files / "graph.json"
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) in (0, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=_PARAM_DOCS)
+    def test_parameter_documents(self, fuzz_files, doc):
+        path = fuzz_files / "fuzz_params.json"
+        path.write_text(json.dumps(doc))
+        argv = ["estimate", str(fuzz_files / "iv.json"), str(fuzz_files / "data.csv"), "--true-params", str(path)]
+        assert main(argv) in (0, 2, 3)
