@@ -76,6 +76,9 @@ class MixedGraph:
             self._siblings[v].append(u)
         for v in vertices:
             self._siblings[v].sort(key=self._index.__getitem__)
+        # Ancestors and descendants per vertex, filled on first use; the graph never changes.
+        self._an = {}
+        self._de = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -105,13 +108,17 @@ class MixedGraph:
 
     def ancestors(self, v: str) -> frozenset:
         """All u with a directed path u -> ... -> v; contains v (trivial path)."""
-        self._require(v)
-        return self._reach(v, self._parents)
+        if v not in self._an:
+            self._require(v)
+            self._an[v] = self._reach(v, self._parents)
+        return self._an[v]
 
     def descendants(self, v: str) -> frozenset:
         """All u with a directed path v -> ... -> u; contains v (trivial path)."""
-        self._require(v)
-        return self._reach(v, self._children)
+        if v not in self._de:
+            self._require(v)
+            self._de[v] = self._reach(v, self._children)
+        return self._de[v]
 
     def _reach(self, start: str, step: dict) -> frozenset:
         seen = {start}
@@ -214,17 +221,10 @@ def bidirected_connected_components(g: MixedGraph) -> tuple[frozenset, ...]:
     seen = set()
     components = []
     for v in g.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            for w in g.siblings(queue.popleft()):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        components.append(frozenset(comp))
+        if v not in seen:
+            comp = g._reach(v, g._siblings)
+            seen |= comp
+            components.append(comp)
     return tuple(components)
 
 
@@ -307,7 +307,7 @@ def graph_from_json(text: str) -> MixedGraph:
 
     Unknown keys are rejected; bidirected pairs are order-insensitive.
     """
-    doc = _load_object(text)
+    doc = load_json_object(text, "graph document")
     unknown = set(doc) - _GRAPH_KEYS
     if unknown:
         raise GraphFormatError(f"unknown keys in graph document: {sorted(unknown)}")
@@ -333,7 +333,7 @@ def graph_to_json(g: MixedGraph) -> str:
 
 def factor_graph_from_json(text: str) -> LatentFactorGraph:
     """Parse a factor-graph document; adds "latents"/"loadings" to the graph keys."""
-    doc = _load_object(text)
+    doc = load_json_object(text, "factor document")
     unknown = set(doc) - _FACTOR_KEYS
     if unknown:
         raise GraphFormatError(f"unknown keys in factor document: {sorted(unknown)}")
@@ -351,7 +351,7 @@ def factor_graph_from_json(text: str) -> LatentFactorGraph:
         weights = dict(zip(loadings, vals))
     try:
         return LatentFactorGraph(vertices, latents, loadings, weights)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"malformed factor document: {exc}") from exc
 
 
@@ -390,11 +390,17 @@ def _pairs(doc: dict, key: str) -> list:
     return [tuple(e) for e in edges]
 
 
-def _load_object(text: str) -> dict:
+def load_json_object(text: str, what: str) -> dict:
+    """`text` parsed as a JSON object; anything else is a GraphFormatError naming `what`.
+
+    `json.loads` raises ValueError for malformed text and for integers past
+    Python's digit limit, and RecursionError for nesting past the recursion
+    limit.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise GraphFormatError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise GraphFormatError("graph document must be a JSON object")
+        raise GraphFormatError(f"{what} must be a JSON object")
     return doc

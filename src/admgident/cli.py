@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (GraphFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GraphError, BindingMismatch, NotCycleDecomposable) as exc:
@@ -143,7 +143,7 @@ def cmd_check(args) -> int:
     g = _load_graph(args.graph)
     acyclic = admg.is_acyclic(g)
     if args.cyclic or not acyclic:
-        return _check_cyclic(args, g)
+        return _check_cyclic(args, g, acyclic)
     if args.known and not args.edge:
         raise GraphFormatError("--known requires --edge")
     if args.edge:
@@ -174,10 +174,10 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _check_cyclic(args, g) -> int:
+def _check_cyclic(args, g, acyclic: bool) -> int:
     necessary = ident.cyclic_necessary_condition(g)
     doc = {
-        "acyclic": admg.is_acyclic(g),
+        "acyclic": acyclic,
         "necessary_condition": necessary,
         "all_pass": all(necessary.values()),
         "mode": "necessary-only",
@@ -229,19 +229,17 @@ def cmd_flow(args) -> int:
         q = g.parents(v)
     else:
         q = [w.strip() for w in args.targets.split(",") if w.strip()]
-    net = ident.build_flow_network(g, v, q)
-    value, flows = ident.max_flow_with_arc_flows(net)
-    witness = ident.witness_paths(g, v, q)
+    net, value, flows, witness = ident.solved_flow_network(g, v, q)
     doc = {
         "nodes": list(net.nodes),
-        "arcs": [[u, w, c, flows[(u, w)]] for u, w, c in net.arcs],
+        "arcs": [[u, w, c, f] for (u, w, c), f in zip(net.arcs, flows)],
         "max_flow": value,
         "witness": [list(path) for path in witness],
     }
     if args.human:
         lines = [f"max flow: {value}"]
-        for u, w, c in net.arcs:
-            lines.append(f"  {u} -> {w}  cap {c}  flow {flows[(u, w)]}")
+        for (u, w, c), f in zip(net.arcs, flows):
+            lines.append(f"  {u} -> {w}  cap {c}  flow {f}")
         lines.append("witness paths: " + "; ".join("->".join(p) for p in witness))
         sys.stdout.write("\n".join(lines) + "\n")
     else:

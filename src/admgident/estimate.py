@@ -259,6 +259,8 @@ def regression_init(g: MixedGraph, ds: Dataset) -> ParamMatrix:
     if ds.columns != g.vertices:
         raise BindingMismatch("dataset columns must match the graph vertices")
     x = ds.values - ds.values.mean(axis=0)
+    if not np.all(np.isfinite(x)):
+        raise BindingMismatch("centring the data overflows: values too large for float arithmetic")
     values = {}
     for v in g.vertices:
         pa = g.parents(v)
@@ -454,10 +456,19 @@ class _NonFinite(Exception):
 
 
 def normalized_frobenius_loss(lam_hat: ParamMatrix, lam_true: ParamMatrix) -> float:
-    """||hat - true||_F / ||true||_F over a shared graph binding."""
+    """||hat - true||_F / ||true||_F over a shared graph binding.
+
+    Both matrices are first scaled by the power of two that brings their
+    largest |entry| into [0.5, 1), so no square overflows or underflows to
+    zero.  Scaling by a power of two is exact, so the ratio does not change.
+    """
     if lam_hat.graph != lam_true.graph:
         raise BindingMismatch("parameter matrices bound to different graphs")
-    denom = float(np.linalg.norm(lam_true.dense()))
+    hat, true = lam_hat.dense(), lam_true.dense()
+    largest = max(np.abs(hat).max(initial=0.0), np.abs(true).max(initial=0.0))
+    exponent = math.frexp(largest)[1]
+    hat, true = np.ldexp(hat, -exponent), np.ldexp(true, -exponent)
+    denom = float(np.linalg.norm(true))
     if denom == 0.0:
         raise ZeroTrueMatrix("reference matrix is zero")
-    return float(np.linalg.norm(lam_hat.dense() - lam_true.dense())) / denom
+    return float(np.linalg.norm(hat - true)) / denom

@@ -86,7 +86,11 @@ def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
     removable ancestors, q drains into the sink, and the directed edges of g
     with both endpoints among the ancestors are kept.
     """
-    anc, arcs = _network(g, v, q)
+    return _named(*_network(g, v, q))
+
+
+def _named(anc, arcs) -> FlowNetwork:
+    """The `FlowNetwork` of `_network`'s integer arcs, with nodes named s, t, u.in, u.out."""
     names = ["s", "t"] + [f"{u}.{side}" for u in anc for side in ("in", "out")]
     return FlowNetwork(
         nodes=tuple(names),
@@ -170,17 +174,18 @@ def _solve(g: MixedGraph, v: str, q):
     return anc, arcs, solver, solver.max_flow(0, 1)
 
 
-def max_flow_with_arc_flows(net: FlowNetwork):
-    """Max flow value plus one optimal per-arc flow assignment."""
-    index = {u: i for i, u in enumerate(net.nodes)}
-    solver = _Dinic(len(net.nodes), [(index[u], index[w], int(c)) for u, w, c in net.arcs])
-    value = solver.max_flow(index[net.source], index[net.sink])
-    return value, dict(zip(((u, w) for u, w, _ in net.arcs), solver.cap[1::2]))
-
-
 def max_flow(net: FlowNetwork) -> int:
     """Value of a maximum integral source-to-sink flow."""
-    return max_flow_with_arc_flows(net)[0]
+    index = {u: i for i, u in enumerate(net.nodes)}
+    solver = _Dinic(len(net.nodes), [(index[u], index[w], int(c)) for u, w, c in net.arcs])
+    return solver.max_flow(index[net.source], index[net.sink])
+
+
+def solved_flow_network(g: MixedGraph, v: str, q):
+    """`build_flow_network`, its max flow, per-arc flows in arc order and `witness_paths`, from one solve."""
+    anc, arcs, solver, value = _solve(g, v, q)
+    flows = solver.cap[1::2]
+    return _named(anc, arcs), value, flows, _paths(anc, arcs, flows)
 
 
 def v_rank(g: MixedGraph, v: str, q) -> int:
@@ -306,7 +311,8 @@ def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
         anc, arcs, solver, rank = _solve(g, v, pa)
         ok = rank == len(pa)
         columns[v] = ColumnVerdict(
-            removable=g.sort_vertices(removable_ancestors(g, v)),
+            # The source arcs feed the removable ancestors in declaration order.
+            removable=tuple(anc[b // 2 - 1] for a, b, _ in arcs if a == 0),
             rank=rank,
             identifiable=ok,
             witness=_paths(anc, arcs, solver.cap[1::2]) if ok else (),
@@ -342,47 +348,6 @@ def cyclic_necessary_condition(g: MixedGraph) -> dict:
     return {v: _column_full_rank(g, v) for v in g.vertices}
 
 
-def _strongly_connected_components(g: MixedGraph) -> list:
-    """Kosaraju with explicit stacks; components in declaration order."""
-    order = []
-    seen = set()
-    for root in g.vertices:
-        if root in seen:
-            continue
-        stack = [(root, iter(g.children(root)))]
-        seen.add(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(g.children(w))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    comp_of = {}
-    components = []
-    for root in reversed(order):
-        if root in comp_of:
-            continue
-        comp = []
-        queue = deque([root])
-        comp_of[root] = len(components)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.parents(u):
-                if w not in comp_of:
-                    comp_of[w] = len(components)
-                    queue.append(w)
-        components.append(g.sort_vertices(comp))
-    components.sort(key=lambda c: g.index(c[0]))
-    return components
-
-
 def cycle_decomposition_identifiable(g: MixedGraph) -> bool:
     """Identifiability for graphs that split into disjoint simple cycles.
 
@@ -395,8 +360,15 @@ def cycle_decomposition_identifiable(g: MixedGraph) -> bool:
     """
     if g.bidirected:
         raise NotCycleDecomposable("bidirected edges present")
-    for comp in _strongly_connected_components(g):
+    seen = set()
+    for v in g.vertices:
+        if v in seen:
+            continue
+        # The first unseen vertex opens its strongly connected component, so
+        # components come in the declaration order of their first members.
+        comp = g.sort_vertices(g.ancestors(v) & g.descendants(v))
         members = set(comp)
+        seen |= members
         if len(comp) < 2:
             raise NotCycleDecomposable(
                 f"component {list(comp)!r} is not a directed cycle"

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .admg import MixedGraph, is_acyclic
+from .admg import MixedGraph, is_acyclic, load_json_object
 from .errors import (
     BindingMismatch,
     CyclicGraph,
@@ -63,19 +63,9 @@ class ParamMatrix:
         return json.dumps(doc, indent=2) + "\n"
 
     @staticmethod
-    def from_dense(graph: MixedGraph, lam: np.ndarray) -> "ParamMatrix":
-        values = {}
-        for u, v in graph.directed:
-            x = float(lam[graph.index(u), graph.index(v)])
-            if x != 0.0:
-                values[(u, v)] = x
-        return ParamMatrix(graph, values)
-
-    @staticmethod
     def from_json(graph: MixedGraph, text: str) -> "ParamMatrix":
         """Inverse of to_json; a malformed document is a GraphFormatError."""
-        doc = json.loads(text)
-        edges = doc.get("edges", {}) if isinstance(doc, dict) else None
+        edges = load_json_object(text, "parameter JSON").get("edges", {})
         if not isinstance(edges, dict):
             raise GraphFormatError("parameter JSON must be an object whose 'edges' is an object")
         values = {}
@@ -358,27 +348,9 @@ def all_dags(p: int):
     dags = []
     for mask in range(1 << len(pairs)):
         edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        if _acyclic_index_edges(p, edges):
+        if is_acyclic(MixedGraph(range(p), edges)):
             dags.append(tuple(edges))
     return dags
-
-
-def _acyclic_index_edges(p: int, edges) -> bool:
-    indeg = [0] * p
-    children = [[] for _ in range(p)]
-    for a, b in edges:
-        indeg[b] += 1
-        children[a].append(b)
-    ready = [i for i in range(p) if indeg[i] == 0]
-    count = 0
-    while ready:
-        u = ready.pop()
-        count += 1
-        for w in children[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return count == p
 
 
 def all_bidirected_sets(p: int):

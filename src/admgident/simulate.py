@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admg import MixedGraph
+from .admg import MixedGraph, load_json_object
 from .errors import (
     BindingMismatch,
     DegenerateParameters,
@@ -309,7 +309,8 @@ def read_dataset(path: str) -> Dataset:
     """Read a write_dataset CSV.
 
     A missing header, no data rows, a row whose width differs from the
-    header's, or a non-numeric or non-finite cell is a GraphFormatError.
+    header's, a non-numeric or non-finite cell, or a .meta.json sidecar that
+    is not a JSON object is a GraphFormatError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -330,7 +331,7 @@ def read_dataset(path: str) -> Dataset:
     provenance = {}
     if os.path.exists(_meta_path(path)):
         with open(_meta_path(path), encoding="utf-8") as fh:
-            provenance = json.load(fh)
+            provenance = load_json_object(fh.read(), f"provenance sidecar {_meta_path(path)}")
     return Dataset(columns=tuple(columns), values=values, provenance=provenance)
 
 

@@ -1,6 +1,15 @@
-"""Small worked-example graphs shared across the test suite."""
+"""Small worked-example graphs, and a random-JSON strategy, shared across the test suite."""
+
+from hypothesis import strategies as st
 
 from admgident import LatentFactorGraph, MixedGraph
+
+# Any JSON value, for fuzzing the document readers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 def iv_graph() -> MixedGraph:

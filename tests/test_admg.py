@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from admgident.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from figures import confounded_diamond, iv_graph, k_cycle, two_cycle
+from figures import JSON_VALUES, confounded_diamond, iv_graph, k_cycle, two_cycle
 
 
 @st.composite
@@ -117,6 +118,26 @@ class TestRelations:
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
             relations(confounded_diamond(), "v9")
+        g = confounded_diamond()
+        for lookup in (g.ancestors, g.descendants):
+            for _ in range(2):  # a failed lookup stores nothing
+                with pytest.raises(UnknownVertex):
+                    lookup("v9")
+
+    def test_each_search_runs_once_per_graph(self, monkeypatch):
+        searches = []
+        reach = MixedGraph._reach
+
+        def counting_reach(self, start, step):
+            searches.append(start)
+            return reach(self, start, step)
+
+        monkeypatch.setattr(MixedGraph, "_reach", counting_reach)
+        g = confounded_diamond()
+        for _ in range(3):
+            assert [g.ancestors(v) for v in g.vertices] == [{"v1"}, {"v1", "v2"}, {"v1", "v3"}, set(g.vertices)]
+            assert [g.descendants(v) for v in g.vertices] == [set(g.vertices), {"v2", "v4"}, {"v3", "v4"}, {"v4"}]
+        assert len(searches) == 2 * g.num_vertices
 
     def test_reachability_on_cyclic_graph(self):
         g = MixedGraph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3"), ("v3", "v2")])
@@ -154,6 +175,31 @@ class TestBidirectedComponents:
             frozenset({"b"}),
             frozenset({"c"}),
         )
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_match_union_find(self, seed):
+        rng = random.Random(seed)
+        p = rng.randint(1, 12)
+        vs = [f"v{i + 1}" for i in range(p)]
+        d = rng.uniform(0.0, 0.4)
+        bidirected = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if rng.random() < d]
+        directed = [(a, b) for a in vs for b in vs if a != b and rng.random() < 0.2]
+        parent = {v: v for v in vs}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for a, b in bidirected:
+            parent[find(b)] = find(a)
+        expected = {}
+        for v in vs:  # first members in declaration order, members too
+            expected.setdefault(find(v), []).append(v)
+        g = MixedGraph(vs, directed, bidirected)
+        got = [sorted(c, key=g.index) for c in bidirected_connected_components(g)]
+        assert got == list(expected.values())
 
 
 class TestLatentProjection:
@@ -197,7 +243,28 @@ class TestLatentProjection:
         assert latent_projection_bidirected(l1) == latent_projection_bidirected(l2)
 
 
+_NAMES = st.sampled_from(["a", "b", "l", "m"])
+_FACTOR_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {
+        "vertices": st.lists(_NAMES, max_size=3) | JSON_VALUES,
+        "latents": st.lists(_NAMES, max_size=2) | JSON_VALUES,
+        "loadings": st.lists(st.lists(_NAMES, min_size=1, max_size=3), max_size=4) | JSON_VALUES,
+    },
+    optional={"weights": st.lists(st.integers() | st.floats() | JSON_VALUES, max_size=4) | JSON_VALUES, "directed": JSON_VALUES},
+)
+
+
 class TestJson:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_FACTOR_DOCS)
+    def test_factor_documents_fuzz(self, doc):
+        # No command reads factor JSON, so this holds the reader to the CLI's
+        # contract directly: a factor graph, or a format (exit 2) or model (exit 3) error.
+        try:
+            assert isinstance(factor_graph_from_json(json.dumps(doc)), LatentFactorGraph)
+        except (GraphFormatError, InvalidFactorGraph, DuplicateVertex):
+            pass
+
     def test_round_trip(self):
         g = confounded_diamond()
         assert graph_from_json(graph_to_json(g)) == g
@@ -239,6 +306,7 @@ class TestJson:
             {"vertices": [1], "latents": ["l"], "loadings": [["l", "1"]]},
             {"vertices": ["a"], "latents": [None], "loadings": [["None", "a"]]},
             {"vertices": ["1"], "latents": ["l"], "loadings": [["l", 1]]},
+            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [10**400]},
         ],
     )
     def test_factor_fields_must_be_arrays_of_the_right_values(self, doc):

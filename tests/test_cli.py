@@ -1,3 +1,4 @@
+import hashlib
 import json
 import signal
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admgident import graph_to_json, read_dataset, sample_errors, ErrorModel
+from admgident import graph_to_json, ident, random_admg, read_dataset, sample_errors, ErrorModel
 from admgident.cli import _parse_densities, main, survey
 from admgident.errors import GraphFormatError
 from admgident.oracle import ParamMatrix
-from figures import confounded_diamond, iv_graph, two_cycle
+from figures import JSON_VALUES, confounded_diamond, iv_graph, two_cycle
 
 
 @pytest.fixture
@@ -137,6 +138,76 @@ class TestFlow:
     def test_empty_target_set(self, diamond_file, capsys):
         assert main(["flow", diamond_file, "--node", "v4", "--set", ""]) == 0
         assert json.loads(capsys.readouterr().out)["max_flow"] == 0
+
+
+    def test_one_solve_per_invocation(self, diamond_file, monkeypatch, capsys):
+        solves = []
+        solve = ident._Dinic.max_flow
+
+        def counting_solve(self, s, t):
+            solves.append((s, t))
+            return solve(self, s, t)
+
+        monkeypatch.setattr(ident._Dinic, "max_flow", counting_solve)
+        for v in confounded_diamond().vertices:
+            solves.clear()
+            assert main(["flow", diamond_file, "--node", v]) == 0
+            assert len(solves) == 1
+
+    def test_stdout_matches_stored_digest(self, tmp_path, capsys):
+        # JSON and --human for every vertex, with its parents and with each
+        # proper prefix of them; recorded when the dump and the witness came
+        # from two separate solves.
+        graphs = [confounded_diamond()] + [random_admg(12, d, s) for d in (0.3, 0.6) for s in range(5)]
+        digest = hashlib.sha256()
+        runs = 0
+        for i, g in enumerate(graphs):
+            path = tmp_path / f"g{i}.json"
+            path.write_text(graph_to_json(g))
+            for v in g.vertices:
+                pa = g.parents(v)
+                for targets in [[]] + [["--set", ",".join(pa[:k])] for k in range(len(pa))]:
+                    for human in ([], ["--human"]):
+                        code = main(["flow", str(path), "--node", v, *targets, *human])
+                        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+                        runs += 1
+        assert runs == 654
+        assert digest.hexdigest() == "b529c99f91dd1d736a9d174a74dd77d2593759d29aea1c96f1db20869e6a240b"
+
+
+# Bodies json.loads cannot turn into a document: an integer past Python's
+# 4,300-digit limit (ValueError) and nesting past the recursion limit.
+_HUGE_INT = '{"vertices": [1' + "0" * 4999 + "]}"
+_DEEP = "[" * 100_000
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("body", [_HUGE_INT, _DEEP], ids=["huge-int", "deep"])
+    def test_graph_exit_2(self, tmp_path, capsys, body):
+        path = tmp_path / "graph.json"
+        path.write_text(body)
+        assert main(["check", str(path)]) == 2
+        assert "graph document is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [_HUGE_INT, _DEEP], ids=["huge-int", "deep"])
+    def test_true_params_exit_2(self, iv_file, iv_data, tmp_path, capsys, body):
+        path = tmp_path / "params.json"
+        path.write_text(body)
+        assert main(["estimate", iv_file, iv_data[0], "--true-params", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parameter JSON is not valid JSON" in captured.err
+
+    @pytest.mark.parametrize("body", [_HUGE_INT, _DEEP, "[1, 2]"], ids=["huge-int", "deep", "array"])
+    def test_sidecar_exit_2(self, iv_file, iv_data, capsys, body):
+        # write_dataset writes the provenance sidecar as a JSON object, so nothing else is read.
+        sidecar = iv_data[0] + ".meta.json"
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        assert main(["estimate", iv_file, iv_data[0]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sidecar in captured.err
 
 
 class TestVerify:
@@ -313,6 +384,19 @@ class TestEstimate:
         assert main(["estimate", iv_file, iv_data[0], "--true-params", str(params)]) == code
         assert capsys.readouterr().out == ""
 
+    def test_data_too_large_to_centre_exit_3(self, iv_file, tmp_path, capsys):
+        # Each cell is finite, but their column sum overflows, so the centred data would hold inf.
+        data = tmp_path / "data.csv"
+        data.write_text("v1,v2,v3\n8.988465674311579e+307,0.0,0.0\n8.98846567431158e+307,0.0,0.0\n")
+        assert main(["estimate", iv_file, str(data)]) == 3
+        assert "centring the data overflows" in capsys.readouterr().err
+
+    def test_huge_true_params_give_a_finite_loss(self, iv_file, iv_data, tmp_path, capsys):
+        params = tmp_path / "huge.json"
+        params.write_text('{"edges": {"v1->v2": 1e300}}')
+        assert main(["estimate", iv_file, iv_data[0], "--true-params", str(params)]) == 0
+        assert json.loads(capsys.readouterr().out)["loss"] == pytest.approx(1.0)
+
     def test_out_file_matches_stdout(self, iv_file, tmp_path, capsys):
         data = tmp_path / "data.csv"
         out = tmp_path / "fit.json"
@@ -330,20 +414,30 @@ class TestEstimate:
         assert main(["estimate", iv_file, str(data)]) == 3
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=12,
-)
 _NAMES = st.sampled_from(["v1", "v2", "v3", "v4"])
 _EDGE_LISTS = st.lists(st.lists(_NAMES, min_size=1, max_size=3), max_size=6)
-_GRAPH_DOCS = _JSON | st.fixed_dictionaries(
-    {"vertices": st.lists(_NAMES, max_size=4) | _JSON},
-    optional={"directed": _EDGE_LISTS | _JSON, "bidirected": _EDGE_LISTS | _JSON, "nodes": _JSON},
+_GRAPH_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"vertices": st.lists(_NAMES, max_size=4) | JSON_VALUES},
+    optional={"directed": _EDGE_LISTS | JSON_VALUES, "bidirected": _EDGE_LISTS | JSON_VALUES, "nodes": JSON_VALUES},
 )
-_PARAM_DOCS = _JSON | st.fixed_dictionaries(
-    {"edges": st.dictionaries(st.sampled_from(["v1->v2", "v2->v3", "v1->v3", "v1"]), _JSON, max_size=3) | _JSON},
-    optional={"vertices": _JSON},
+_PARAM_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"edges": st.dictionaries(st.sampled_from(["v1->v2", "v2->v3", "v1->v3", "v1"]), JSON_VALUES, max_size=3) | JSON_VALUES},
+    optional={"vertices": JSON_VALUES},
+)
+
+_NUMERIC = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-10**6, 10**6).map(str)
+_CELLS = st.sampled_from(["nan", "-inf", "x", "", " 3", '"4"', "1e400"]) | _NUMERIC | st.integers().map(str)
+_HEADERS = st.sampled_from([["v1", "v2"], ["v3", "v2", "v1"]]) | st.lists(st.text(max_size=3), max_size=4)
+_CSV_TEXT = (
+    st.text(max_size=30)
+    | st.builds(lambda header, rows: [header, *rows], _HEADERS, st.lists(st.lists(_CELLS, min_size=2, max_size=4), max_size=6))
+    | st.lists(st.lists(_NUMERIC, min_size=3, max_size=3), min_size=1, max_size=8).map(lambda rows: [["v1", "v2", "v3"], *rows])
+).map(lambda doc: doc if isinstance(doc, str) else "".join(",".join(r) + "\n" for r in doc))
+_NUMBERS = st.sampled_from(["0", "0.1", "0.5", "1", "-1", "1e-300", "1e20", "inf", "nan", "", "x"]) | st.floats().map(repr)
+_DENSITY_TEXT = (
+    st.text(max_size=12)
+    | st.lists(_NUMBERS, min_size=1, max_size=4).map(":".join)
+    | st.tuples(st.sampled_from(["0", "0.1", "0.5"]), st.sampled_from(["0.5", "0.9", "1"]), _NUMBERS).map(":".join)
 )
 
 
@@ -358,7 +452,7 @@ def fuzz_files(tmp_path_factory):
 
 
 class TestInputFuzz:
-    """Random documents through cli.main: only exit codes 0, 2 and 3, never an exception."""
+    """Random input files and arguments through cli.main: only exit codes 0, 2 and 3, never an exception."""
 
     @settings(max_examples=100, deadline=None)
     @given(doc=_GRAPH_DOCS | st.binary(max_size=16))
@@ -377,3 +471,21 @@ class TestInputFuzz:
         path.write_text(json.dumps(doc))
         argv = ["estimate", str(fuzz_files / "iv.json"), str(fuzz_files / "data.csv"), "--true-params", str(path)]
         assert main(argv) in (0, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_CSV_TEXT)
+    def test_csv_files(self, fuzz_files, text):
+        path = fuzz_files / "fuzz.csv"
+        path.write_text(text)
+        assert main(["estimate", str(fuzz_files / "iv.json"), str(path)]) in (0, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_DENSITY_TEXT, p_reps=st.sampled_from([("4", "0"), ("1", "1")]))
+    def test_density_strings(self, text, p_reps):
+        # --reps 0 parses the range and samples nothing; p = 1 fails on the first graph (exit 3).
+        p, reps = p_reps
+        try:
+            code = main(["survey", "--p", p, "--reps", reps, "--densities", text])
+        except SystemExit as exc:  # argparse rejects a value that looks like an option
+            code = exc.code
+        assert code in (0, 2, 3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,6 +361,19 @@ class TestLoss:
     def test_zero_estimate_gives_one(self):
         lam = sample_parameters(iv_graph(), seed=1)
         assert normalized_frobenius_loss(ParamMatrix(lam.graph, {}), lam) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_ratio_at_every_binary_scale(self, seed):
+        # Scaling both matrices by 2**k changes no ratio; unscaled norms overflow
+        # to inf (loss NaN) near k = 1000 and underflow to 0 near k = -1000.
+        g = random_admg(6, 0.6, seed)
+        true = sample_parameters(g, seed)
+        rng = np.random.default_rng(seed)
+        hat = ParamMatrix(g, {e: x + float(rng.normal()) for e, x in true.values.items()})
+        loss = normalized_frobenius_loss(hat, true)
+        for k in (-1000, -500, -1, 1, 500, 1000):
+            scaled = [ParamMatrix(g, {e: math.ldexp(x, k) for e, x in m.values.items()}) for m in (hat, true)]
+            assert normalized_frobenius_loss(*scaled) == loss
 
     def test_zero_reference_rejected(self):
         g = iv_graph()

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from admgident import (
     MixedGraph,
     build_flow_network,
+    is_acyclic,
     cycle_decomposition_identifiable,
     cyclic_necessary_condition,
     genericity_sufficient,
@@ -280,6 +283,31 @@ class TestMatrixReport:
                     digest.update(is_matrix_identifiable(random_admg(p, density, seed)).to_json().encode())
         assert digest.hexdigest() == "5d717f77284bd6337ea35dfb80a7af62c50959d9f939b414c4249d2c981b7d35"
 
+    def test_one_ancestor_search_and_one_removable_set_per_column(self, monkeypatch):
+        # Each column's network needs an(v) and its removable subset; the report
+        # reads both from that network instead of computing them again.
+        reaches = []
+        removables = []
+        reach = MixedGraph._reach
+        removable = ident.removable_ancestors
+
+        def counting_reach(self, start, step):
+            reaches.append(start)
+            return reach(self, start, step)
+
+        def counting_removable(g, v):
+            removables.append(v)
+            return removable(g, v)
+
+        g = random_admg(25, 0.5, 0)
+        monkeypatch.setattr(MixedGraph, "_reach", counting_reach)
+        monkeypatch.setattr(ident, "removable_ancestors", counting_removable)
+        report = is_matrix_identifiable(g)
+        assert len(reaches) <= g.num_vertices
+        assert sorted(removables) == sorted(g.vertices)
+        for v, col in report.columns.items():
+            assert col.removable == g.sort_vertices(removable(g, v))
+
     def test_fast_path_agrees_with_report(self):
         for seed in range(40):
             g = random_admg(5, 0.5, seed)
@@ -303,7 +331,63 @@ class TestCyclicChecks:
                 assert necessary[v] == report.columns[v].identifiable
 
 
+def _cyclic_graph(seed: int) -> MixedGraph:
+    """Even seeds: disjoint cycles (some of length 1) fed by forward edges, rarely
+    a stray edge; odd seeds: a random digraph.  About one in seven gets a
+    bidirected edge."""
+    rng = random.Random(seed)
+    p = rng.randint(2, 8)
+    vs = [f"v{i + 1}" for i in range(p)]
+    directed = set()
+    if seed % 2 == 0:
+        order = rng.sample(vs, p)
+        cycles = []
+        while order:
+            k = min(len(order), rng.choice((1, 2, 2, 3, 4)))
+            cycles.append(order[:k])
+            order = order[k:]
+        for c in cycles:
+            if len(c) > 1:
+                directed |= {(c[i], c[(i + 1) % len(c)]) for i in range(len(c))}
+        for i, j in combinations(range(len(cycles)), 2):
+            for u in cycles[i]:
+                for w in cycles[j]:
+                    if rng.random() < 0.3:
+                        directed.add((u, w))
+        if rng.random() < 0.1:
+            a, b = rng.sample(vs, 2)
+            directed.add((a, b))
+    else:
+        d = rng.uniform(0.15, 0.6)
+        directed = {(a, b) for a in vs for b in vs if a != b and rng.random() < d}
+    bidirected = [tuple(rng.sample(vs, 2))] if rng.random() < 0.15 else []
+    return MixedGraph(vs, sorted(directed), bidirected)
+
+
 class TestCycleDecomposition:
+    def test_seeded_cyclic_graphs_match_stored_digest(self):
+        # Verdicts and NotCycleDecomposable messages of the first 3,000 cyclic
+        # graphs, recorded when components came from a Kosaraju pass; the
+        # messages list each component's members, so order and membership count.
+        digest = hashlib.sha256()
+        kinds = Counter()
+        seed = 0
+        while sum(kinds.values()) < 3000:
+            g = _cyclic_graph(seed)
+            seed += 1
+            if is_acyclic(g):
+                continue
+            try:
+                out = str(cycle_decomposition_identifiable(g))
+                kinds[out] += 1
+            except NotCycleDecomposable as exc:
+                out = f"NotCycleDecomposable: {exc}"
+                kinds[next(w for w in ("bidirected", "simple", "directed") if w in str(exc))] += 1
+            digest.update((out + "\n").encode())
+        assert seed == 3725
+        assert kinds == {"True": 276, "False": 763, "bidirected": 449, "simple": 704, "directed": 808}
+        assert digest.hexdigest() == "1a967b65435fd894ead2c1040fb28e31d593738a86c7b84d20803c9237b20fe0"
+
     def test_two_cycle_not_identifiable(self):
         assert not cycle_decomposition_identifiable(two_cycle())
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from admgident import (
     v_rank,
 )
 from admgident.errors import BindingMismatch, SingularMatrix, SizeMismatch, TooLarge
-from admgident.oracle import generic_parameters
+from admgident.oracle import all_dags, generic_parameters
 from figures import confounded_diamond, double_confounder, half_identifiable_collider, two_cycle
 
 
@@ -247,6 +249,22 @@ class TestNongenericLocus:
         lam = ParamMatrix(g, {("v1", "v2"): 1.0, ("v2", "v3"): 0.5, ("v1", "v3"): 0.5})
         assert not nongeneric_locus_check(g, lam, "v3")
         assert not nongeneric_locus_check(g, ParamMatrix(g, {}), "v3")
+
+
+class TestAllDags:
+    def test_counts_and_stored_digest(self):
+        # Labeled DAG counts are OEIS A003024; the digest of the lists was
+        # recorded when the enumeration ran its own acyclicity test.
+        dags = [all_dags(p) for p in range(1, 5)]
+        assert [len(d) for d in dags] == [1, 3, 25, 543]
+        digest = hashlib.sha256()
+        for d in dags:
+            digest.update(repr(d).encode())
+        assert digest.hexdigest() == "622a631b6ff8d1e69a54f2e10214708bbd0c43dce45ebe5d1767741cd864d3bc"
+
+    def test_more_than_four_vertices_refused(self):
+        with pytest.raises(TooLarge):
+            all_dags(5)
 
 
 class TestBruteForce:
