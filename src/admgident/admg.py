@@ -7,6 +7,7 @@ order, which also fixes every deterministic tie-break in the package.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -348,6 +349,9 @@ def factor_graph_from_json(text: str) -> LatentFactorGraph:
         vals = _array(doc, "weights")
         if len(vals) != len(loadings):
             raise GraphFormatError("weights must align with loadings")
+        for w in vals:
+            if not finite_number(w):
+                raise GraphFormatError(f"weights must be finite numbers, got {w!r:.40}")
         weights = dict(zip(loadings, vals))
     try:
         return LatentFactorGraph(vertices, latents, loadings, weights)
@@ -364,6 +368,12 @@ def factor_graph_to_json(l: LatentFactorGraph) -> str:
     if l.weights is not None:
         doc["weights"] = [l.weights[e] for e in l.loadings]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def finite_number(x) -> bool:
+    """A JSON number a float holds finitely: not a bool, NaN, infinity or an int past float range."""
+    # abs(x) <= max also rejects NaN, and compares big ints exactly
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
 
 
 def _array(doc: dict, key: str) -> list:

@@ -50,10 +50,10 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == POLYNOMIAL and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
-        if self.kind == POLYNOMIAL and self.offset < 0:
-            raise ValueError("polynomial offset must be >= 0")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if self.kind == POLYNOMIAL and not 0 <= self.offset < math.inf:
+            raise ValueError("polynomial offset must be finite and >= 0")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
 
 def polynomial_kernel(degree: int = 2, offset: float = 1.0) -> KernelSpec:
@@ -153,8 +153,9 @@ def objective(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset, kernels) -> fl
 
 def gradient(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset, kernels) -> ParamMatrix:
     """Exact partial derivatives of the objective in each free coefficient."""
-    _, grad_vec, edges = _value_and_gradient(g, lam_tilde.dense(), ds.values, _resolved(g, kernels, ds, lam_tilde))
-    return ParamMatrix(g, {edge: float(x) for edge, x in zip(edges, grad_vec)})
+    layout = _Layout(g, _resolved(g, kernels, ds, lam_tilde))
+    _, grad_vec = _value_and_gradient(layout, lam_tilde.dense(), ds.values)
+    return ParamMatrix(g, {edge: float(x) for edge, x in zip(g.directed, grad_vec)})
 
 
 def _resolved(g: MixedGraph, kernels, ds: Dataset, lam_tilde: ParamMatrix) -> dict:
@@ -163,69 +164,93 @@ def _resolved(g: MixedGraph, kernels, ds: Dataset, lam_tilde: ParamMatrix) -> di
     return {v: resolve_kernel(_kernel_for(kernels, v), r[:, g.index(v)]) for v in g.vertices}
 
 
-def _value_and_gradient(g: MixedGraph, lam_dense: np.ndarray, x: np.ndarray, kernels: dict):
+class _Layout:
+    """Index arrays and feature coefficients of one (graph, resolved kernels) objective.
+
+    The polynomial kernel (x*y + c)^d has the explicit features
+    sqrt(C(d,k) c^(d-k)) x^k; power 0 is constant and centres to zero, so
+    only powers 1..d are kept.  Features are stacked power-major, one row
+    of n samples each: row k*q + j holds power k+1 of polynomial column j,
+    with a zero coefficient past the column's own degree.  `mask` is 1 on
+    the blocks of independent poly-poly pairs, in both orders; pairs with
+    an RBF side go to `gram_pairs`.
+    """
+
+    def __init__(self, g: MixedGraph, kernels: dict):
+        poly = [v for v in g.vertices if kernels[v].kind == POLYNOMIAL]
+        pos = {v: j for j, v in enumerate(poly)}
+        q = len(poly)
+        self.degree = max((kernels[v].degree for v in poly), default=0)
+        self.poly = np.array([g.index(v) for v in poly], dtype=int)
+        self.coef = np.zeros((self.degree, q))
+        for j, v in enumerate(poly):
+            d, c = kernels[v].degree, kernels[v].offset
+            for k in range(1, d + 1):
+                self.coef[k - 1, j] = math.sqrt(math.comb(d, k) * c ** (d - k))
+        pair_mask = np.zeros((q, q))
+        self.gram_pairs = []
+        for u, v in independent_pairs(g):
+            if u in pos and v in pos:
+                pair_mask[pos[u], pos[v]] = pair_mask[pos[v], pos[u]] = 1.0
+            else:
+                self.gram_pairs.append(
+                    (g.index(u), g.index(v), kernels[u], kernels[v], bool(g.parents(u)), bool(g.parents(v)))
+                )
+        self.mask = np.tile(pair_mask, (self.degree, self.degree))
+        # polynomial columns whose residual depends on a coefficient, and their features
+        self.grad = np.array([j for j, v in enumerate(poly) if g.parents(v)], dtype=int)
+        self.grad_feats = (np.arange(self.degree)[:, None] * q + self.grad).ravel()
+        self.grad_coef = self.coef[:, self.grad] * np.arange(1, self.degree + 1)[:, None]
+        self.edges = (
+            np.array([g.index(u) for u, _ in g.directed], dtype=int),
+            np.array([g.index(v) for _, v in g.directed], dtype=int),
+        )
+
+
+def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray, x: np.ndarray):
     """Objective value plus the gradient vector over the directed edges.
 
     The chain rule runs through the residual columns: residual v moves by
     -X_u per unit of the (u, v) coefficient, so each edge gradient is the
     inner product of -X_u with the accumulated HSIC gradient of column v.
+
+    For polynomial pairs trace(Kx H Ky H) is the squared Frobenius norm of
+    the centred feature cross-covariance, so one stacked feature matrix F
+    gives every such pair at once: C = F'F, the value is half the masked sum
+    of C*C, and F (mask*C) is every column's feature-space gradient.  The
+    contractions use einsum's own loops rather than BLAS: inside the L-BFGS
+    loop, waking a second BLAS thread per product costs more than it saves.
     """
     n, p = x.shape
     r = x @ (np.eye(p) - lam_dense)
-    pairs = independent_pairs(g)
-    needs_grad = {v for v in g.vertices if g.parents(v)}
-    feats = {v: _poly_features(r[:, g.index(v)], kernels[v], v in needs_grad)
-             for v in g.vertices if kernels[v].kind == POLYNOMIAL}
-    gcol = {v: None for v in g.vertices}
+    gcol = np.zeros((p, n))  # residual-space gradient of each column, one row per column
     total = 0.0
-    for u, v in pairs:
-        ku, kv = kernels[u], kernels[v]
-        if ku.kind == POLYNOMIAL and kv.kind == POLYNOMIAL:
-            value, gu, gv = _hsic_grads_poly(feats[u], feats[v], n)
-        else:
-            ru, rv = r[:, g.index(u)], r[:, g.index(v)]
-            value, gu, gv = _hsic_grads_gram(ru, rv, ku, kv, u in needs_grad, v in needs_grad)
+    if layout.poly.size:
+        rp = r.T[layout.poly]
+        powers = np.empty((layout.degree,) + rp.shape)
+        powers[0] = rp
+        for k in range(1, layout.degree):
+            np.multiply(powers[k - 1], rp, out=powers[k])
+        f = (powers * layout.coef[:, :, None]).reshape(-1, n)
+        f -= f.mean(axis=1, keepdims=True)
+        c = np.einsum("in,jn->ij", f, f)
+        mc = layout.mask * c
+        total = 0.5 * float(np.einsum("ij,ij->", mc, c)) / n**2
+        gf = np.einsum("ij,in->jn", mc[:, layout.grad_feats], f).reshape(layout.degree, layout.grad.size, n)
+        # d/dx of power k+1 is (k+1) x^k: the constant for the first power, then the powers below
+        deriv = np.empty_like(gf)
+        deriv[0] = 1.0
+        deriv[1:] = powers[:-1, layout.grad]
+        gcol[layout.poly[layout.grad]] = (2.0 / n**2) * np.einsum("kjn,kjn,kj->jn", deriv, gf, layout.grad_coef)
+    for i, j, ki, kj, need_i, need_j in layout.gram_pairs:
+        value, gi, gj = _hsic_grads_gram(r[:, i], r[:, j], ki, kj, need_i, need_j)
         total += value
-        for name, gvec in ((u, gu), (v, gv)):
-            if gvec is not None:
-                gcol[name] = gvec if gcol[name] is None else gcol[name] + gvec
-    edges = g.directed
-    grad = np.zeros(len(edges))
-    for i, (u, v) in enumerate(edges):
-        if gcol[v] is not None:
-            grad[i] = -float(x[:, g.index(u)] @ gcol[v])
-    return total, grad, edges
-
-
-def _poly_features(x: np.ndarray, spec: KernelSpec, need_deriv: bool):
-    """Centered features sqrt(C(d,k) c^(d-k)) x^k of (x*y + c)^d, and their x-derivative if asked."""
-    d = spec.degree
-    coef = np.array([math.sqrt(math.comb(d, k) * spec.offset ** (d - k)) for k in range(d + 1)])
-    powers = np.vander(x, d + 1, increasing=True)
-    f = powers * coef
-    deriv = None
-    if need_deriv:
-        deriv = np.zeros_like(powers)
-        deriv[:, 1:] = powers[:, :-1] * (coef[1:] * np.arange(1, d + 1))
-    return f - f.mean(axis=0), deriv
-
-
-def _hsic_grads_poly(fx, fy, n):
-    """HSIC and residual-space gradients from two _poly_features results.
-
-    For polynomial kernels trace(Kx H Ky H) equals the squared Frobenius
-    norm of the centered feature cross-covariance, which costs O(n) instead
-    of O(n^2).  A side's gradient is None when its derivative is.
-    """
-    (fxc, dx), (fyc, dy) = fx, fy
-    cross = fxc.T @ fyc
-    value = float(np.sum(cross * cross)) / n**2
-    gx = gy = None
-    if dx is not None:
-        gx = (2.0 / n**2) * np.sum(dx * (fyc @ cross.T), axis=1)
-    if dy is not None:
-        gy = (2.0 / n**2) * np.sum(dy * (fxc @ cross), axis=1)
-    return value, gx, gy
+        if gi is not None:
+            gcol[i] += gi
+        if gj is not None:
+            gcol[j] += gj
+    u, v = layout.edges
+    return total, -np.einsum("ne,en->e", x[:, u], gcol[v])
 
 
 def _hsic_grads_gram(x, y, kx, ky, need_gx, need_gy):
@@ -340,7 +365,10 @@ def fit(
     p = g.num_vertices
 
     if opts.standardize:
-        sd = ds.values.std(axis=0)
+        # std of each column scaled into [0.5, 1) by a power of two, scaled back:
+        # exact, and no square overflows however large the cells are
+        _, exponent = np.frexp(np.abs(ds.values).max(axis=0, initial=0.0))
+        sd = np.ldexp(np.ldexp(ds.values, -exponent).std(axis=0), exponent)
         sd[sd == 0.0] = 1.0
         # lam_std[u, v] = lam[u, v] * sd_u / sd_v, an exact reparameterization
         edge_scale = np.array([sd[g.index(u)] / sd[g.index(v)] for u, v in edges])
@@ -351,20 +379,19 @@ def fit(
     else:
         edge_scale = np.ones(len(edges))
 
-    kernels = _resolved(g, kernels, ds, init)
+    layout = _Layout(g, _resolved(g, kernels, ds, init))
     bounds = [(-opts.bound * s, opts.bound * s) for s in edge_scale]
     x0 = np.array([init.values.get(edge, 0.0) for edge in edges])
     x0 = np.clip(x0, [b[0] for b in bounds], [b[1] for b in bounds]) if len(edges) else x0
     x_data = ds.values
-    index = ([g.index(u) for u, _ in edges], [g.index(v) for _, v in edges])
 
     def pack(vec: np.ndarray) -> np.ndarray:
         lam = np.zeros((p, p))
-        lam[index] = vec
+        lam[layout.edges] = vec
         return lam
 
     def fun(vec):
-        value, grad, _ = _value_and_gradient(g, pack(vec), x_data, kernels)
+        value, grad = _value_and_gradient(layout, pack(vec), x_data)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise _NonFinite(vec)
         return value, grad

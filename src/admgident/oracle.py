@@ -8,14 +8,13 @@ search, and the linear system whose solution space is the parameter fiber.
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .admg import MixedGraph, is_acyclic, load_json_object
+from .admg import MixedGraph, finite_number, is_acyclic, load_json_object
 from .errors import (
     BindingMismatch,
     CyclicGraph,
@@ -70,8 +69,7 @@ class ParamMatrix:
             raise GraphFormatError("parameter JSON must be an object whose 'edges' is an object")
         values = {}
         for key, x in edges.items():
-            # abs(x) <= max also rejects NaN, and ints that float() cannot hold.
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+            if not finite_number(x):
                 raise GraphFormatError(f"parameter {key!r} must be a finite number, got {x!r:.40}")
             u, _, v = key.partition("->")
             values[(u, v)] = float(x)

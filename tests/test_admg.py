@@ -307,6 +307,11 @@ class TestJson:
             {"vertices": ["a"], "latents": [None], "loadings": [["None", "a"]]},
             {"vertices": ["1"], "latents": ["l"], "loadings": [["l", 1]]},
             {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [10**400]},
+            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [float("nan")]},
+            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [float("inf")]},
+            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [-float("inf")]},
+            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [True]},
+            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": ["1"]},
         ],
     )
     def test_factor_fields_must_be_arrays_of_the_right_values(self, doc):

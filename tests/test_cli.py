@@ -391,6 +391,19 @@ class TestEstimate:
         assert main(["estimate", iv_file, str(data)]) == 3
         assert "centring the data overflows" in capsys.readouterr().err
 
+    def test_huge_cells_fit_like_unscaled_data(self, iv_file, tmp_path, capsys):
+        # Squares of cells near 1e155 overflow, but independence is scale-free.
+        values = np.random.default_rng(3).normal(size=(20, 3))
+        fits = []
+        for scale in (1.0, 1e155):
+            data = tmp_path / f"data{scale:g}.csv"
+            rows = "".join(",".join(repr(float(c)) for c in row) + "\n" for row in values * scale)
+            data.write_text("v1,v2,v3\n" + rows)
+            assert main(["estimate", iv_file, str(data)]) == 0
+            fits.append(json.loads(capsys.readouterr().out)["edges"])
+        assert fits[1].keys() == fits[0].keys()
+        assert all(fits[1][e] == pytest.approx(fits[0][e], abs=1e-6) for e in fits[0])
+
     def test_huge_true_params_give_a_finite_loss(self, iv_file, iv_data, tmp_path, capsys):
         params = tmp_path / "huge.json"
         params.write_text('{"edges": {"v1->v2": 1e300}}')

@@ -35,11 +35,12 @@ from admgident.estimate import (
     polynomial_kernel,
     rbf_kernel,
     resolve_kernel,
+    _Layout,
     _hsic_grads_gram,
-    _hsic_grads_poly,
-    _poly_features,
+    _value_and_gradient,
 )
 from admgident import estimate
+from admgident.simulate import LAPLACE
 from figures import confounded_diamond, double_confounder, iv_graph
 
 
@@ -56,6 +57,24 @@ def kernel_value(spec, a, b):
     if spec.kind == "polynomial":
         return (a * b + spec.offset) ** spec.degree
     return np.exp(-((a - b) ** 2) / (2 * spec.bandwidth**2))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"kind": "sigmoid"},
+        {"kind": "polynomial", "degree": 0},
+        {"kind": "polynomial", "offset": -1.0},
+        {"kind": "polynomial", "offset": math.nan},
+        {"kind": "polynomial", "offset": math.inf},
+        {"kind": "rbf", "bandwidth": 0.0},
+        {"kind": "rbf", "bandwidth": math.nan},
+        {"kind": "rbf", "bandwidth": math.inf},
+    ],
+)
+def test_kernel_spec_rejects_bad_parameters(kwargs):
+    with pytest.raises(ValueError):
+        estimate.KernelSpec(**kwargs)
 
 
 class TestResiduals:
@@ -120,12 +139,24 @@ class TestHsic:
         assert a >= -1e-12
 
     def test_poly_fast_path_equals_gram_path(self):
+        # a and b form the only independent pair; parent p_i is the unit vector
+        # e_i, so the (p_i, a) gradient reads entry i of a's residual gradient
         rng = np.random.default_rng(7)
         x, y = rng.normal(size=80), rng.normal(size=80)
+        parents = [f"p{i}" for i in range(80)]
+        g = MixedGraph(
+            ["a", "b"] + parents,
+            [(u, v) for u in parents for v in ("a", "b")],
+            [(u, v) for i, u in enumerate(parents) for v in ["a", "b"] + parents[i + 1:]],
+        )
+        data = np.column_stack([x, y, np.eye(80)])
         for deg, off in ((1, 1.0), (2, 1.0), (2, 0.0), (3, 2.0)):
             kx = ky = polynomial_kernel(deg, off)
             vg, gxg, gyg = _hsic_grads_gram(x, y, kx, ky, True, True)
-            vp, gxp, gyp = _hsic_grads_poly(_poly_features(x, kx, True), _poly_features(y, ky, True), len(x))
+            vp, grad = _value_and_gradient(_Layout(g, {v: kx for v in g.vertices}), np.zeros((82, 82)), data)
+            by_edge = dict(zip(g.directed, grad))
+            gxp = -np.array([by_edge[(u, "a")] for u in parents])
+            gyp = -np.array([by_edge[(u, "b")] for u in parents])
             assert vg == pytest.approx(vp, rel=1e-10)
             assert np.allclose(gxg, gxp, atol=1e-12)
             assert np.allclose(gyg, gyp, atol=1e-12)
@@ -227,6 +258,64 @@ class TestGradient:
         grad = gradient(g, ParamMatrix(g, {("a", "c"): 0.5}), data, polynomial_kernel())
         assert grad.get("a", "c") == 0.0
 
+    KERNELS = [polynomial_kernel(d, c) for d in (1, 2, 3) for c in (0.0, 0.5, 1.0, 2.0)] + [rbf_kernel()]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_stacked_evaluation_matches_pairwise_gram_path(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_admg(int(rng.integers(3, 7)), float(rng.uniform(0.2, 0.8)), seed)
+        data = generate_data(g, sample_parameters(g, seed), sample_errors(g, ErrorModel(), 60, seed=seed))
+        point = ParamMatrix(g, {e: float(rng.normal()) for e in g.directed})
+        x, lam = data.values, point.dense()
+        r = residuals(g, point, data).values
+        kernels = {
+            v: resolve_kernel(self.KERNELS[rng.integers(len(self.KERNELS))], r[:, g.index(v)])
+            for v in g.vertices
+        }
+        value, gcol = 0.0, np.zeros_like(r)
+        for u, v in estimate.independent_pairs(g):
+            i, j = g.index(u), g.index(v)
+            pair_value, gi, gj = _hsic_grads_gram(r[:, i], r[:, j], kernels[u], kernels[v], True, True)
+            value += pair_value
+            gcol[:, i] += gi
+            gcol[:, j] += gj
+        expected = np.array([-x[:, g.index(u)] @ gcol[:, g.index(v)] for u, v in g.directed])
+        got_value, got = _value_and_gradient(_Layout(g, kernels), lam, x)
+        assert got_value == pytest.approx(value, rel=1e-10)
+        assert np.abs(got - expected).max(initial=0.0) <= 1e-10 * np.abs(expected).max(initial=0.0)
+
+    # Fits of the per-pair evaluation loop that the stacked evaluation replaced:
+    # graph seed, iterations, coefficients.  Poly2, regression init, n=500 Laplace.
+    PAIRWISE_FITS = (
+        (0, 40, {
+            "v1->v2": 0.812919351867289, "v1->v6": 1.832699499820961, "v3->v1": 2.298147792987362,
+            "v3->v2": 0.8743693794620859, "v3->v6": -4.042994972423942, "v4->v2": 3.4783040586641643,
+            "v4->v6": -1.6436853080517724, "v5->v1": 3.156991471557695, "v5->v2": 10.00743964399114,
+            "v5->v4": -1.3112556733850675,
+        }),
+        (3, 54, {
+            "v1->v5": 1.042708221788508, "v1->v6": -2.8231041754144908, "v2->v5": 3.044225947287312,
+            "v3->v1": 4.588522939955532, "v3->v2": -1.4400099271054707, "v3->v4": -1.9448766455654063,
+            "v3->v5": -5.00532729199589, "v4->v2": 0.2305895650031409,
+        }),
+        (8, 42, {
+            "v1->v2": -1.22107541610151, "v1->v5": 3.3977567483202065, "v3->v2": 0.7193643396593502,
+            "v4->v3": -0.8657234470884199, "v4->v6": -0.7292426337382171, "v5->v2": 3.552132339739455,
+            "v6->v1": 3.318570527887919, "v6->v5": -1.2797131911675723,
+        }),
+    )
+
+    @pytest.mark.parametrize("seed,iterations,coefficients", PAIRWISE_FITS)
+    def test_fit_agrees_with_pairwise_evaluation(self, seed, iterations, coefficients):
+        g = random_admg(6, 0.5, seed)
+        lam = sample_parameters(g, seed)
+        data = generate_data(g, lam, sample_errors(g, ErrorModel(kind=LAPLACE), 500, seed))
+        res = fit(g, data, polynomial_kernel(2, 1.0), regression_init(g, data))
+        assert res.iterations == iterations
+        got = {f"{u}->{v}": x for (u, v), x in res.lam_hat.values.items()}
+        assert got.keys() == coefficients.keys()
+        assert all(abs(got[e] - coefficients[e]) <= 1e-8 for e in coefficients)
+
 
 class TestRegressionInit:
     def test_consistent_without_confounding(self):
@@ -301,11 +390,11 @@ class TestFit:
         res = fit(g, data, polynomial_kernel(), ParamMatrix(g, {}))
         assert res.lam_hat.values == {} and res.converged
 
-    def test_one_evaluation_per_scipy_call_and_one_feature_map_per_column(self, monkeypatch):
+    def test_one_evaluation_per_scipy_call_and_one_feature_matrix_per_evaluation(self, monkeypatch):
         g = confounded_diamond()
         lam = sample_parameters(g, seed=16)
         data = generate_data(g, lam, sample_errors(g, ErrorModel(), 400, seed=16))
-        calls = {"_value_and_gradient": 0, "_poly_features": 0}
+        calls = {"_value_and_gradient": 0, "_Layout": 0, "cross-covariance": 0}
         scipy_results = []
 
         def counted(name):
@@ -323,14 +412,23 @@ class TestFit:
             scipy_results.append(real_minimize(*args, **kwargs))
             return scipy_results[-1]
 
+        real_einsum = np.einsum
+
+        def einsum(subscripts, *operands, **kwargs):
+            # C = F F' of the stacked feature matrix, taken once per feature build
+            calls["cross-covariance"] += subscripts == "in,jn->ij"
+            return real_einsum(subscripts, *operands, **kwargs)
+
         monkeypatch.setattr(estimate, "minimize", minimize)
+        monkeypatch.setattr(np, "einsum", einsum)
         counted("_value_and_gradient")
-        counted("_poly_features")
+        counted("_Layout")
         res = fit(g, data, polynomial_kernel(2, 1.0), regression_init(g, data))
         evaluations = calls["_value_and_gradient"]
         assert res.iterations > 1
         assert evaluations == scipy_results[0].nfev + 1
-        assert calls["_poly_features"] == g.num_vertices * evaluations
+        assert calls["_Layout"] == 1
+        assert calls["cross-covariance"] == evaluations
         assert len(res.objective_trace) == res.iterations + 1
 
     def test_multistart_never_worse(self):
