@@ -22,6 +22,7 @@ from . import admg, estimate, ident, oracle, simulate
 from .errors import (
     AdmgIdentError,
     BindingMismatch,
+    CyclicGraph,
     GraphError,
     GraphFormatError,
     NonFiniteObjective,
@@ -140,12 +141,16 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_check(args) -> int:
-    g = _load_graph(args.graph)
-    acyclic = admg.is_acyclic(g)
-    if args.cyclic or not acyclic:
-        return _check_cyclic(args, g, acyclic)
     if args.known and not args.edge:
         raise GraphFormatError("--known requires --edge")
+    if args.edge and args.cyclic:
+        raise GraphFormatError("--edge does not combine with --cyclic")
+    g = _load_graph(args.graph)
+    acyclic = admg.is_acyclic(g)
+    if args.edge and not acyclic:
+        raise CyclicGraph("--edge needs an acyclic graph; drop it for the cyclic analysis")
+    if args.cyclic or not acyclic:
+        return _check_cyclic(args, g, acyclic)
     if args.edge:
         u, v = _parse_pair(args.edge)
         if args.known:

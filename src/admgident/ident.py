@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .admg import (
     LatentFactorGraph,
@@ -56,26 +57,51 @@ class FlowNetwork:
     splits: tuple[tuple[str, str, str], ...] = field(default=())
 
 
-def _network(g: MixedGraph, v: str, q):
+class _Column(NamedTuple):
+    """The part of column v's network that does not depend on q.
+
+    `head` holds the split arcs and the source arcs (removable order),
+    `tail` the directed-edge arcs (`g.directed` order); `_network` puts the
+    sink arcs of q between them.
+    """
+
+    anc: tuple[str, ...]
+    node_in: dict
+    removable: tuple[str, ...]
+    big_m: int
+    head: list
+    tail: list
+
+
+def _column(g: MixedGraph, v: str) -> _Column:
+    """Strict ancestors of v, their node index, and the arcs shared by every q."""
+    g._require(v)
+    anc = g.sort_vertices(g.ancestors(v) - {v})
+    node_in = {u: 2 * i + 2 for i, u in enumerate(anc)}
+    removable = g.sort_vertices(removable_ancestors(g, v))
+    big_m = g.num_vertices + 1
+    head = [(node_in[u], node_in[u] + 1, 1) for u in anc]
+    head += [(0, node_in[u], big_m) for u in removable]
+    tail = [(node_in[a] + 1, node_in[b], big_m) for a, b in g.directed if a in node_in and b in node_in]
+    return _Column(anc, node_in, removable, big_m, head, tail)
+
+
+def _network(g: MixedGraph, v: str, q, col: _Column | None = None):
     """Strict ancestors of v and the integer arcs (tail, head, capacity) for q.
 
     Node 0 is the source, node 1 the sink, and nodes 2i + 2 and 2i + 3 the
     in- and out-node of the i-th ancestor.  Arcs run split, source (removable
     order), sink (q order), then directed edges (`g.directed` order); Dinic's
-    tie-breaks, and so the witness paths, follow this order.
+    tie-breaks, and so the witness paths, follow this order.  `col` is
+    `_column(g, v)`, built here when not given.
     """
     g._require(v)
     q = g.sort_vertices(q)
     if not set(q) <= set(g.parents(v)):
         raise NotAParentSubset(q, v)
-    anc = g.sort_vertices(g.ancestors(v) - {v})
-    node_in = {u: 2 * i + 2 for i, u in enumerate(anc)}
-    big_m = g.num_vertices + 1
-    arcs = [(node_in[u], node_in[u] + 1, 1) for u in anc]
-    arcs += [(0, node_in[u], big_m) for u in g.sort_vertices(removable_ancestors(g, v))]
-    arcs += [(node_in[u] + 1, 1, big_m) for u in q]
-    arcs += [(node_in[a] + 1, node_in[b], big_m) for a, b in g.directed if a in node_in and b in node_in]
-    return anc, arcs
+    col = col or _column(g, v)
+    node_in, big_m = col.node_in, col.big_m
+    return col.anc, col.head + [(node_in[u] + 1, 1, big_m) for u in q] + col.tail
 
 
 def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
@@ -131,20 +157,36 @@ class _Dinic:
                     queue.append(w)
         return level if level[t] >= 0 else None
 
-    def _push(self, u: int, t: int, limit: int, level, it) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            a = self.adj[u][it[u]]
-            w = self.to[a]
-            if self.cap[a] > 0 and level[w] == level[u] + 1:
-                got = self._push(w, t, min(limit, self.cap[a]), level, it)
-                if got > 0:
-                    self.cap[a] -= got
-                    self.cap[a ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
+    def _push(self, s: int, t: int, level, it) -> int:
+        """Augment along the first s-t path of the level graph; 0 when none is left.
+
+        A depth-first search on an explicit arc stack, so path length is not
+        bounded by the interpreter's recursion limit: `it[u]` is the next arc
+        to try at u, and a dead end advances its parent's `it`.  Arcs are
+        tried in declaration order, which fixes the flows and the witnesses.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        path = []
+        u = s
+        while u != t:
+            arcs = adj[u]
+            while it[u] < len(arcs):
+                a = arcs[it[u]]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    path.append(a)
+                    u = to[a]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+        got = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= got
+            cap[a ^ 1] += got
+        return got
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
@@ -154,7 +196,7 @@ class _Dinic:
                 return total
             it = [0] * self.n
             while True:
-                got = self._push(s, t, 1 << 60, level, it)
+                got = self._push(s, t, level, it)
                 if got == 0:
                     break
                 total += got

@@ -23,7 +23,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .ident import removable_ancestors, v_rank
+from .ident import _column, _Dinic, _network, removable_ancestors, v_rank
 
 RANK_TOL = 1e-8
 DET_TOL = 1e-8
@@ -365,26 +365,36 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5, v_rank_fn=No
     under test.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _check_graph(g, draw_b_stack(g, rng, draws), v_rank_fn, {}, {})
+    return _check_graph(g, draw_b_stack(g, rng, draws), v_rank_fn, {}, {}, {})
 
 
-def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache: dict):
+def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache: dict, flows: dict):
     """Mismatch records of one graph; see cross_check_graph.
 
     Both caches are keyed by (removable, Q).  The enumeration rank depends
     only on that key and the directed part, the modal rank on that key and
     `b_stack`, so callers may share the caches across graphs that agree on
-    the directed part and the parameter draws.
+    the directed part and the parameter draws.  `flows` maps a built network,
+    (node count, arcs), to its max flow: the key is the whole input of the
+    solver, so any graph may share it.  A substituted `v_rank_fn` is called
+    for every (v, Q) instead.
     """
-    v_rank_fn = v_rank_fn or v_rank
     mismatches = []
     for v in g.vertices:
-        removable = g.sort_vertices(removable_ancestors(g, v))
+        col = _column(g, v)
+        removable = col.removable
         pa = g.parents(v)
         for size in range(len(pa) + 1):
             for q in combinations(pa, size):
                 key = (removable, q)
-                flow = v_rank_fn(g, v, q)
+                if v_rank_fn is not None:
+                    flow = v_rank_fn(g, v, q)
+                else:
+                    anc, arcs = _network(g, v, q, col)
+                    net = (2 * len(anc) + 2, tuple(arcs))
+                    if net not in flows:
+                        flows[net] = _Dinic(*net).max_flow(0, 1)
+                    flow = flows[net]
                 if key not in enum_cache:
                     enum_cache[key] = _enum_rank(g, removable, q, ENUMERATION_CAP)
                 if key not in rank_cache:
@@ -434,12 +444,15 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
     Returns {"graphs": count, "checks": count, "mismatches": [...]}.  The
     parameter draws behind the numeric ranks are shared per directed part so
     rank and enumeration results can be cached across bidirected variants.
+    Max flows are memoised for the whole sweep under the built network, the
+    solver's complete input, so each distinct network is solved once.
     """
     from .simulate import random_admg
 
     graphs = 0
     checks = 0
     mismatches = []
+    flows = {}
     for p in range(1, min(max_vertices, 4) + 1):
         vertices = [f"v{i + 1}" for i in range(p)]
         for dag_idx, dag in enumerate(all_dags(p)):
@@ -451,7 +464,7 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
             for bid in all_bidirected_sets(p):
                 bidirected = [(vertices[a], vertices[b]) for a, b in bid]
                 g = MixedGraph(vertices, directed, bidirected)
-                found = _check_graph(g, b_stack, v_rank_fn, enum_cache, rank_cache)
+                found = _check_graph(g, b_stack, v_rank_fn, enum_cache, rank_cache, flows)
                 graphs += 1
                 checks += sum(2 ** len(g.parents(v)) for v in g.vertices)
                 mismatches.extend(found)
@@ -459,7 +472,8 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
         densities = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         for i in range(sample_count):
             g = random_admg(p, densities[i % len(densities)], seed=seed * 100003 + i)
-            found = cross_check_graph(g, seed=seed + i, v_rank_fn=v_rank_fn)
+            rng = np.random.default_rng(np.random.SeedSequence(seed + i))
+            found = _check_graph(g, draw_b_stack(g, rng, 5), v_rank_fn, {}, {}, flows)
             graphs += 1
             checks += sum(2 ** len(g.parents(v)) for v in g.vertices)
             mismatches.extend(found)

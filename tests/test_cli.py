@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admgident import graph_to_json, ident, random_admg, read_dataset, sample_errors, ErrorModel
+import admgident
+from admgident import MixedGraph, graph_to_json, ident, random_admg, read_dataset, sample_errors, ErrorModel
 from admgident.cli import _parse_densities, main, survey
 from admgident.errors import GraphFormatError
 from admgident.oracle import ParamMatrix
@@ -121,6 +125,39 @@ class TestCheck:
         assert doc["acyclic"] is False
         assert doc["all_pass"] is True
 
+    @pytest.mark.parametrize("graph", ["diamond", "two_cycle"])
+    @pytest.mark.parametrize("cyclic", [[], ["--cyclic"]])
+    def test_known_without_edge_exit_2(self, graph, cyclic, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(graph_to_json({"diamond": confounded_diamond, "two_cycle": two_cycle}[graph]()))
+        assert main(["check", str(path), "--known", "v1", *cyclic]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_edge_with_cyclic_flag_exit_2(self, diamond_file, capsys):
+        assert main(["check", diamond_file, "--edge", "v2,v4", "--cyclic"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_edge_on_cyclic_graph_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "cycle.json"
+        path.write_text(graph_to_json(two_cycle()))
+        assert main(["check", str(path), "--edge", "v1,v2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "acyclic" in captured.err
+
+    def test_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # v1 -> ... -> v600 with v2..v599 <-> v600: v600's only removable
+        # ancestor is v1, so its witness is the whole chain up to v599.
+        n = 600
+        vs = [f"v{i}" for i in range(1, n + 1)]
+        path = tmp_path / "chain.json"
+        path.write_text(graph_to_json(MixedGraph(vs, list(zip(vs, vs[1:])), [(u, vs[-1]) for u in vs[1:-1]])))
+        assert main(["check", str(path)]) == 0
+        column = json.loads(capsys.readouterr().out)["columns"][vs[-1]]
+        assert (column["rank"], column["witness"]) == (1, [vs[:-1]])
+        assert main(["flow", str(path), "--node", vs[-1]]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"] == [vs[:-1]]
+
 
 class TestFlow:
     def test_diamond_last_column(self, diamond_file, capsys):
@@ -225,6 +262,16 @@ class TestVerify:
     )
     def test_counts_out_of_range_exit_2(self, argv):
         assert main(["verify", *argv]) == 2
+
+    def test_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(admgident.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "admgident", "verify", "--max-vertices", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"graphs": 7, "checks": 17, "mismatches": 0}
 
 
 class TestSurvey:

@@ -121,6 +121,61 @@ class TestFlowNetwork:
         assert max_flow(net) == 1
 
 
+def _network_one_piece(g, v, q):
+    """The network builder as it was before the per-column template, kept as the reference."""
+    g._require(v)
+    q = g.sort_vertices(q)
+    if not set(q) <= set(g.parents(v)):
+        raise NotAParentSubset(q, v)
+    anc = g.sort_vertices(g.ancestors(v) - {v})
+    node_in = {u: 2 * i + 2 for i, u in enumerate(anc)}
+    big_m = g.num_vertices + 1
+    arcs = [(node_in[u], node_in[u] + 1, 1) for u in anc]
+    arcs += [(0, node_in[u], big_m) for u in g.sort_vertices(removable_ancestors(g, v))]
+    arcs += [(node_in[u] + 1, 1, big_m) for u in q]
+    arcs += [(node_in[a] + 1, node_in[b], big_m) for a, b in g.directed if a in node_in and b in node_in]
+    return anc, arcs
+
+
+def _random_mixed_graph(p: int, density: float, seed: int) -> MixedGraph:
+    """Directed edges in both directions with probability `density`, so mostly cyclic."""
+    rng = random.Random(seed)
+    vs = [f"v{i + 1}" for i in range(p)]
+    directed = [(a, b) for a in vs for b in vs if a != b and rng.random() < density]
+    bidirected = [(a, b) for a, b in combinations(vs, 2) if rng.random() < density / 2]
+    return MixedGraph(vs, directed, bidirected)
+
+
+class TestColumnTemplate:
+    @pytest.mark.parametrize("p", [4, 7, 12, 25])
+    def test_template_arcs_match_one_piece_builder(self, p):
+        cyclic_graphs = 0
+        for seed in range(6):
+            density = (0.2, 0.5, 0.8)[seed % 3]
+            for g in (random_admg(p, density, seed), _random_mixed_graph(p, min(density, 3 / p), seed)):
+                cyclic_graphs += not is_acyclic(g)
+                for v in g.vertices:
+                    pa = g.parents(v)
+                    if p <= 7:
+                        targets = [q for k in range(len(pa) + 1) for q in combinations(pa, k)]
+                    else:
+                        targets = [pa] + [tuple(w for w in pa if w != u) for u in pa]
+                    col = ident._column(g, v)
+                    assert col.removable == g.sort_vertices(removable_ancestors(g, v))
+                    for q in targets:
+                        # combinations follow pa order; the builders sort q themselves
+                        q = q[::-1]
+                        expected = _network_one_piece(g, v, q)
+                        assert ident._network(g, v, q) == expected
+                        assert ident._network(g, v, q, col) == expected
+        assert cyclic_graphs
+
+    def test_template_keeps_the_parent_subset_check(self):
+        g = confounded_diamond()
+        with pytest.raises(NotAParentSubset):
+            ident._network(g, "v4", ["v1"], ident._column(g, "v4"))
+
+
 class TestVRank:
     def test_diamond_full_rank(self):
         assert v_rank(confounded_diamond(), "v4", ["v2", "v3"]) == 2

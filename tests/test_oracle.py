@@ -19,7 +19,9 @@ from admgident import (
     random_admg,
     removable_ancestors,
     v_rank,
+    verify_sweep,
 )
+from admgident import ident
 from admgident.errors import BindingMismatch, SingularMatrix, SizeMismatch, TooLarge
 from admgident.oracle import all_dags, generic_parameters
 from figures import confounded_diamond, double_confounder, half_identifiable_collider, two_cycle
@@ -288,3 +290,46 @@ class TestBruteForce:
         mismatches = cross_check_graph(g, seed=0, v_rank_fn=broken)
         assert mismatches
         assert {"v", "q", "flow", "enumeration", "numeric_rank"} <= set(mismatches[0])
+
+
+class TestVerifySweep:
+    @staticmethod
+    def _count_solves(monkeypatch, broken=False):
+        """Count `_Dinic.max_flow` calls; `broken` adds 1 to every network with a sink arc."""
+        solves = []
+        solve = ident._Dinic.max_flow
+
+        def counting_solve(self, s, t):
+            solves.append((s, t))
+            return solve(self, s, t) + (broken and bool(self.adj[t]))
+
+        monkeypatch.setattr(ident._Dinic, "max_flow", counting_solve)
+        return solves
+
+    def test_one_solve_per_distinct_network(self, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        report = verify_sweep(3, 0)
+        assert (report["graphs"], report["checks"], report["mismatches"]) == (207, 1073, [])
+        assert len(solves) == 56
+
+    def test_broken_engine_is_caught_through_the_memo(self, monkeypatch):
+        self._count_solves(monkeypatch, broken=True)
+        report = verify_sweep(3, 0)
+        # Every check with a non-empty Q has a sink arc and must disagree; the
+        # empty Q, one per (graph, v) over 1 + 6 + 200 graphs on 1, 2, 3
+        # vertices, has none and must agree.
+        assert len(report["mismatches"]) == 1073 - (1 * 1 + 6 * 2 + 200 * 3)
+        assert all(m["q"] and m["flow"] == m["enumeration"] + 1 for m in report["mismatches"])
+
+    def test_substituted_engine_sees_every_check(self, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        calls = []
+
+        def engine(g, v, q):
+            calls.append((g, v, q))
+            return v_rank(g, v, q)
+
+        report = verify_sweep(3, 0, v_rank_fn=engine)
+        assert report["mismatches"] == []
+        assert len(calls) == report["checks"] == 1073
+        assert len(solves) == 1073
