@@ -65,10 +65,12 @@ def rbf_kernel(bandwidth: float | None = None) -> KernelSpec:
 
 
 def median_bandwidth(x: np.ndarray) -> float:
-    """Median of the nonzero pairwise distances; 1.0 for constant input."""
-    x = np.asarray(x, dtype=float).ravel()
-    d = np.abs(x[:, None] - x[None, :])
-    d = d[np.triu_indices_from(d, k=1)]
+    """Median of the nonzero pairwise distances; 1.0 for constant input.
+
+    Sorted differences xs[j] - xs[i], i < j, are the same doubles as |x_a - x_b|.
+    """
+    xs = np.sort(np.asarray(x, dtype=float).ravel())
+    d = np.concatenate([xs[i + 1:] - xs[i] for i in range(xs.size - 1)] or [xs[:0]])
     d = d[d > 0]
     return float(np.median(d)) if d.size else 1.0
 
@@ -84,14 +86,19 @@ def _gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.kind == POLYNOMIAL:
         return (np.outer(x, x) + spec.offset) ** spec.degree
     spec = resolve_kernel(spec, x)
-    d = x[:, None] - x[None, :]
-    return np.exp(-(d**2) / (2.0 * spec.bandwidth**2))
+    # exp(-(d**2) / (2 sigma^2)), computed in one n x n buffer
+    k = np.subtract.outer(x, x)
+    np.square(k, out=k)
+    np.negative(k, out=k)
+    np.divide(k, 2.0 * spec.bandwidth**2, out=k)
+    return np.exp(k, out=k)
 
 
 def _center(k: np.ndarray) -> np.ndarray:
-    row = k.mean(axis=1, keepdims=True)
-    col = k.mean(axis=0, keepdims=True)
-    return k - row - col + k.mean()
+    c = k - k.mean(axis=1, keepdims=True)
+    c -= k.mean(axis=0, keepdims=True)
+    c += k.mean()
+    return c
 
 
 def hsic_biased(x, y, kx: KernelSpec, ky: KernelSpec) -> float:
@@ -153,7 +160,7 @@ def objective(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset, kernels) -> fl
 
 def gradient(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset, kernels) -> ParamMatrix:
     """Exact partial derivatives of the objective in each free coefficient."""
-    layout = _Layout(g, _resolved(g, kernels, ds, lam_tilde))
+    layout = _Layout(g, _resolved(g, kernels, ds, lam_tilde), ds.values)
     _, grad_vec = _value_and_gradient(layout, lam_tilde.dense(), ds.values)
     return ParamMatrix(g, {edge: float(x) for edge, x in zip(g.directed, grad_vec)})
 
@@ -165,7 +172,7 @@ def _resolved(g: MixedGraph, kernels, ds: Dataset, lam_tilde: ParamMatrix) -> di
 
 
 class _Layout:
-    """Index arrays and feature coefficients of one (graph, resolved kernels) objective.
+    """Index arrays, feature coefficients and fixed Grams of one objective over data x.
 
     The polynomial kernel (x*y + c)^d has the explicit features
     sqrt(C(d,k) c^(d-k)) x^k; power 0 is constant and centres to zero, so
@@ -173,10 +180,12 @@ class _Layout:
     of n samples each: row k*q + j holds power k+1 of polynomial column j,
     with a zero coefficient past the column's own degree.  `mask` is 1 on
     the blocks of independent poly-poly pairs, in both orders; pairs with
-    an RBF side go to `gram_pairs`.
+    an RBF side go to `gram_pairs`, `last` maps each of their columns to
+    its last pair, and `fixed` holds the centred Gram of each parentless
+    RBF column, whose residual is its data column for every coefficient.
     """
 
-    def __init__(self, g: MixedGraph, kernels: dict):
+    def __init__(self, g: MixedGraph, kernels: dict, x: np.ndarray):
         poly = [v for v in g.vertices if kernels[v].kind == POLYNOMIAL]
         pos = {v: j for j, v in enumerate(poly)}
         q = len(poly)
@@ -197,6 +206,9 @@ class _Layout:
                     (g.index(u), g.index(v), kernels[u], kernels[v], bool(g.parents(u)), bool(g.parents(v)))
                 )
         self.mask = np.tile(pair_mask, (self.degree, self.degree))
+        self.last = {c: k for k, pair in enumerate(self.gram_pairs) for c in pair[:2]}
+        roots = [i for i in self.last if kernels[g.vertices[i]].kind == RBF and not g.parents(g.vertices[i])]
+        self.fixed = {i: _center(_gram(x[:, i], kernels[g.vertices[i]])) for i in roots}
         # polynomial columns whose residual depends on a coefficient, and their features
         self.grad = np.array([j for j, v in enumerate(poly) if g.parents(v)], dtype=int)
         self.grad_feats = (np.arange(self.degree)[:, None] * q + self.grad).ravel()
@@ -220,6 +232,10 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray, x: np.ndarray):
     of C*C, and F (mask*C) is every column's feature-space gradient.  The
     contractions use einsum's own loops rather than BLAS: inside the L-BFGS
     loop, waking a second BLAS thread per product costs more than it saves.
+
+    Gram pairs are summed in layout order.  Each column's Grams are built
+    once per evaluation and dropped after its last pair; a parentless RBF
+    column's centred Gram comes from the layout, built on the same x.
     """
     n, p = x.shape
     r = x @ (np.eye(p) - lam_dense)
@@ -242,13 +258,22 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray, x: np.ndarray):
         deriv[0] = 1.0
         deriv[1:] = powers[:-1, layout.grad]
         gcol[layout.poly[layout.grad]] = (2.0 / n**2) * np.einsum("kjn,kjn,kj->jn", deriv, gf, layout.grad_coef)
-    for i, j, ki, kj, need_i, need_j in layout.gram_pairs:
-        value, gi, gj = _hsic_grads_gram(r[:, i], r[:, j], ki, kj, need_i, need_j)
-        total += value
-        if gi is not None:
-            gcol[i] += gi
-        if gj is not None:
-            gcol[j] += gj
+    centred = dict(layout.fixed)  # column -> centred Gram, until its last pair
+    raw = {}  # RBF column with parents -> raw Gram, read and overwritten by its gradient
+    for k, (i, j, ki, kj, need_i, need_j) in enumerate(layout.gram_pairs):
+        for c, spec, need in ((i, ki, need_i), (j, kj, need_j)):
+            if c not in centred:
+                raw[c] = _gram(r[:, c], spec)
+                centred[c] = _center(raw[c] if need and spec.kind == RBF else raw.pop(c))
+        total += float(np.sum(centred[i] * centred[j])) / n**2
+        for c, spec, other, need in ((i, ki, j, need_i), (j, kj, i, need_j)):
+            if need:
+                shared = c in raw and layout.last[c] > k  # a later pair reads it too
+                gcol[c] += _gram_side_grad(r[:, c], spec, raw[c].copy() if shared else raw.get(c), centred[other], n)
+        for c in (i, j):
+            if layout.last[c] == k:
+                del centred[c]
+                raw.pop(c, None)
     u, v = layout.edges
     return total, -np.einsum("ne,en->e", x[:, u], gcol[v])
 
@@ -270,12 +295,12 @@ def _hsic_grads_gram(x, y, kx, ky, need_gx, need_gy):
 
 
 def _gram_side_grad(x, spec, k, other_centered, n):
-    # d/dx_a of sum_ij K_ij (H L H)_ij = 2 sum_j (HLH)_aj dK_aj/dx_a
+    # d/dx_a of sum_ij K_ij (H L H)_ij = 2 sum_j (HLH)_aj dK_aj/dx_a; overwrites an RBF k
     if spec.kind == POLYNOMIAL:
         base = spec.degree * (np.outer(x, x) + spec.offset) ** (spec.degree - 1)
         return (2.0 / n**2) * ((base * other_centered) @ x)
     sigma = spec.bandwidth
-    w = k * other_centered
+    w = np.multiply(k, other_centered, out=k)
     return (2.0 / (n**2 * sigma**2)) * (w @ x - w.sum(axis=1) * x)
 
 
@@ -361,6 +386,8 @@ def fit(
     opts = opts or FitOptions()
     if ds.columns != g.vertices:
         raise BindingMismatch("dataset columns must match the graph vertices")
+    if ds.n < 2:
+        raise LengthMismatch(f"need at least 2 samples, got {ds.n}")
     edges = g.directed
     p = g.num_vertices
 
@@ -379,7 +406,7 @@ def fit(
     else:
         edge_scale = np.ones(len(edges))
 
-    layout = _Layout(g, _resolved(g, kernels, ds, init))
+    layout = _Layout(g, _resolved(g, kernels, ds, init), ds.values)
     bounds = [(-opts.bound * s, opts.bound * s) for s in edge_scale]
     x0 = np.array([init.values.get(edge, 0.0) for edge in edges])
     x0 = np.clip(x0, [b[0] for b in bounds], [b[1] for b in bounds]) if len(edges) else x0

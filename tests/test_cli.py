@@ -431,6 +431,15 @@ class TestEstimate:
         assert main(["estimate", iv_file, iv_data[0], "--true-params", str(params)]) == code
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("init", ["random", "tv", "reg"])
+    def test_one_sample_exit_3(self, iv_file, iv_data, tmp_path, capsys, init):
+        data = tmp_path / "one_row.csv"
+        data.write_text("v1,v2,v3\n0.5,-1.0,2.0\n")
+        argv = ["estimate", iv_file, str(data), "--kernel", "rbf", "--init", init, "--true-params", iv_data[1]]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples" in captured.err
+
     def test_data_too_large_to_centre_exit_3(self, iv_file, tmp_path, capsys):
         # Each cell is finite, but their column sum overflows, so the centred data would hold inf.
         data = tmp_path / "data.csv"

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from admgident.estimate import (
     rbf_kernel,
     resolve_kernel,
     _Layout,
+    _center,
+    _gram,
     _hsic_grads_gram,
     _value_and_gradient,
 )
@@ -153,7 +157,7 @@ class TestHsic:
         for deg, off in ((1, 1.0), (2, 1.0), (2, 0.0), (3, 2.0)):
             kx = ky = polynomial_kernel(deg, off)
             vg, gxg, gyg = _hsic_grads_gram(x, y, kx, ky, True, True)
-            vp, grad = _value_and_gradient(_Layout(g, {v: kx for v in g.vertices}), np.zeros((82, 82)), data)
+            vp, grad = _value_and_gradient(_Layout(g, {v: kx for v in g.vertices}, data), np.zeros((82, 82)), data)
             by_edge = dict(zip(g.directed, grad))
             gxp = -np.array([by_edge[(u, "a")] for u in parents])
             gyp = -np.array([by_edge[(u, "b")] for u in parents])
@@ -166,6 +170,34 @@ class TestHsic:
         x = rng.normal(size=75)
         shuffled = x[rng.permutation(75)]
         assert median_bandwidth(x) == median_bandwidth(shuffled)
+
+    MEDIAN_INPUTS = {
+        "empty": [],
+        "one": [4.0],
+        "n=2": [0.3, -1.7],
+        "constant": [2.5] * 7,
+        "ties": [1.0, 2.0, 1.0, 2.0, 4.0, 1.0, 2.0, 1.0, -3.0, 2.0],
+        "signed-zeros": [0.0, -0.0, 1.5, 0.0, -2.25, -0.0, 3.0],
+        "laplace-50": np.random.default_rng(9).laplace(size=50),
+        "laplace-1000": np.random.default_rng(10).laplace(size=1000),
+        "shifted-laplace-50": 1e3 + 0.1 * np.random.default_rng(11).laplace(size=50),
+        "shifted-laplace-1000": -7.25 + np.random.default_rng(12).laplace(size=1000),
+        "rounded-laplace-1000": np.round(np.random.default_rng(13).laplace(size=1000), 1),
+    }
+
+    @staticmethod
+    def matrix_median_bandwidth(x):
+        """The n x n expression the sorted differences replaced."""
+        x = np.asarray(x, dtype=float).ravel()
+        d = np.abs(x[:, None] - x[None, :])
+        d = d[np.triu_indices_from(d, k=1)]
+        d = d[d > 0]
+        return float(np.median(d)) if d.size else 1.0
+
+    @pytest.mark.parametrize("name", MEDIAN_INPUTS)
+    def test_median_bandwidth_equals_the_matrix_expression(self, name):
+        x = self.MEDIAN_INPUTS[name]
+        assert median_bandwidth(x) == self.matrix_median_bandwidth(x)
 
 
 class TestObjective:
@@ -280,9 +312,104 @@ class TestGradient:
             gcol[:, i] += gi
             gcol[:, j] += gj
         expected = np.array([-x[:, g.index(u)] @ gcol[:, g.index(v)] for u, v in g.directed])
-        got_value, got = _value_and_gradient(_Layout(g, kernels), lam, x)
+        got_value, got = _value_and_gradient(_Layout(g, kernels, x), lam, x)
         assert got_value == pytest.approx(value, rel=1e-10)
         assert np.abs(got - expected).max(initial=0.0) <= 1e-10 * np.abs(expected).max(initial=0.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rbf_evaluation_equals_the_pairwise_loop_exactly(self, seed):
+        # Same Gram arithmetic in the same order: value and gradient agree to the bit.
+        rng = np.random.default_rng(200 + seed)
+        g = random_admg(int(rng.integers(3, 7)), float(rng.uniform(0.2, 0.8)), seed)
+        data = generate_data(g, sample_parameters(g, seed), sample_errors(g, ErrorModel(), 60, seed=seed))
+        x, lam = data.values, ParamMatrix(g, {e: float(rng.normal()) for e in g.directed}).dense()
+        r = x @ (np.eye(g.num_vertices) - lam)
+        kernels = {v: resolve_kernel(rbf_kernel(), r[:, g.index(v)]) for v in g.vertices}
+        value, gcol = 0.0, np.zeros(r.T.shape)
+        for u, v in estimate.independent_pairs(g):
+            i, j = g.index(u), g.index(v)
+            pair_value, gi, gj = _hsic_grads_gram(
+                r[:, i], r[:, j], kernels[u], kernels[v], bool(g.parents(u)), bool(g.parents(v))
+            )
+            value += pair_value
+            if gi is not None:
+                gcol[i] += gi
+            if gj is not None:
+                gcol[j] += gj
+        tails = [g.index(u) for u, _ in g.directed]
+        heads = [g.index(v) for _, v in g.directed]
+        expected = -np.einsum("ne,en->e", x[:, tails], gcol[heads])
+        got_value, got = _value_and_gradient(_Layout(g, kernels, x), lam, x)
+        assert got_value == value
+        assert got.tobytes() == expected.tobytes()
+
+    def test_parentless_residual_is_the_data_column(self, monkeypatch):
+        # The layout's fixed Grams rest on this, at every point a fit evaluates.
+        g = random_admg(5, 0.3, 0)
+        data = generate_data(g, sample_parameters(g, 0), sample_errors(g, ErrorModel(kind=LAPLACE), 100, 0))
+        seen = []
+        inner = estimate._value_and_gradient
+
+        def recording(layout, lam_dense, x):
+            seen.append((layout, lam_dense.copy(), x))
+            return inner(layout, lam_dense, x)
+
+        monkeypatch.setattr(estimate, "_value_and_gradient", recording)
+        fit(g, data, rbf_kernel(), regression_init(g, data))
+        roots = [g.index(v) for v in g.vertices if not g.parents(v)]
+        assert roots == [0, 4] and len(seen) > 2
+        for layout, lam_dense, x in seen:
+            r = x @ (np.eye(5) - lam_dense)
+            for c in roots:
+                assert r[:, c].tobytes() == x[:, c].tobytes()
+        layout, _, x = seen[0]
+        assert layout.fixed.keys() == set(roots)
+        for c in roots:
+            # a parentless column's bandwidth is resolved on its data column too
+            gram = _gram(x[:, c], resolve_kernel(rbf_kernel(), x[:, c]))
+            assert layout.fixed[c].tobytes() == _center(gram).tobytes()
+
+    # RBF fits recorded while each Gram was still built once per pair, as repr floats:
+    # graph, data seed, iterations, coefficients, objective trace.  Regression init,
+    # n=300 Laplace.  Parentless v1 and v5 of the random graph sit in 4 and 3 pairs.
+    RBF_FITS = (
+        (iv_graph, 0, 7, {"v1->v2": 3.04060046114828, "v2->v3": 1.3180168078289478}, (
+            0.0018823575265056423, 0.0018005031131192303, 0.0012438764653331493, 0.001075799246114738,
+            0.0010041057362861054, 0.000994709355620895, 0.000994557234908792, 0.0009945562175715495,
+        )),
+        (iv_graph, 1, 7, {"v1->v2": -4.027373710216125, "v2->v3": 4.172204282604957}, (
+            0.006611925489854355, 0.0013871228592617709, 0.0011342689774003294, 0.0010992677731887263,
+            0.001064359099442709, 0.0010590670013399422, 0.0010590373596474898, 0.0010590372429189034,
+        )),
+        (iv_graph, 2, 5, {"v1->v2": -2.7943318158282895, "v2->v3": 4.767757886430442}, (
+            0.017163316463856645, 0.0008114949851224812, 0.0008111718157487205, 0.0008104092627636804,
+            0.0008103156878383486, 0.0008102670007619997,
+        )),
+        (functools.partial(random_admg, 5, 0.3, 0), 0, 28, {
+            "v3->v2": -2.1345534707056872, "v4->v3": -3.346056829571886,
+            "v5->v2": 3.5978490593863026, "v5->v4": -2.0252107457531174,
+        }, (
+            0.0067171561231213145, 0.006461228796677438, 0.006453868689482882, 0.006414954870702108,
+            0.006349847851293577, 0.006154246083408497, 0.005813907084898293, 0.005510103446389889,
+            0.005397079415435169, 0.005371584999678296, 0.005369876505134341, 0.00536963258178334,
+            0.0053694400285601435, 0.005368799880172115, 0.005367342083603386, 0.005365883402956014,
+            0.005361036350200122, 0.005347436668428568, 0.005334455336178743, 0.005300961682317384,
+            0.005297677012221917, 0.005296943151220841, 0.005294706306346717, 0.0052943971903220205,
+            0.005294339529595545, 0.005294338167840415, 0.005294337802084236, 0.005294337801574449,
+            0.0052943378014012376,
+        )),
+    )
+
+    @pytest.mark.parametrize(
+        "graph,seed,iterations,coefficients,trace", RBF_FITS, ids=["iv-0", "iv-1", "iv-2", "random5-0"]
+    )
+    def test_rbf_fit_matches_the_per_pair_gram_fits_exactly(self, graph, seed, iterations, coefficients, trace):
+        g = graph()
+        data = generate_data(g, sample_parameters(g, seed), sample_errors(g, ErrorModel(kind=LAPLACE), 300, seed))
+        res = fit(g, data, rbf_kernel(), regression_init(g, data))
+        assert res.iterations == iterations
+        assert {f"{u}->{v}": x for (u, v), x in res.lam_hat.values.items()} == coefficients
+        assert res.objective_trace == trace
 
     # Fits of the per-pair evaluation loop that the stacked evaluation replaced:
     # graph seed, iterations, coefficients.  Poly2, regression init, n=500 Laplace.
@@ -430,6 +557,33 @@ class TestFit:
         assert calls["_Layout"] == 1
         assert calls["cross-covariance"] == evaluations
         assert len(res.objective_trace) == res.iterations + 1
+
+    def test_rbf_evaluation_peak_memory(self):
+        # One evaluation peaked at 5.02 n x n arrays while each pair built its own Grams.
+        # Now the peak plus the Grams the layout holds for the whole fit stays below that.
+        n = 600
+        g = iv_graph()
+        lam = sample_parameters(g, seed=0)
+        data = generate_data(g, lam, sample_errors(g, ErrorModel(kind=LAPLACE), n, seed=0))
+        x = data.values / data.values.std(axis=0)
+        kernels = {v: resolve_kernel(rbf_kernel(), x[:, g.index(v)]) for v in g.vertices}
+        layout = _Layout(g, kernels, x)
+        assert layout.fixed.keys() == {g.index("v1")}
+        assert layout.fixed[0].tobytes() == _center(_gram(x[:, 0], kernels["v1"])).tobytes()
+        _value_and_gradient(layout, lam.dense(), x)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _value_and_gradient(layout, lam.dense(), x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        held = sum(gram.nbytes for gram in layout.fixed.values())
+        assert peak + held <= 5.1 * 8 * n**2
 
     def test_multistart_never_worse(self):
         g = double_confounder()
