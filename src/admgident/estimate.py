@@ -65,11 +65,8 @@ def rbf_kernel(bandwidth: float | None = None) -> KernelSpec:
 
 
 def median_bandwidth(x: np.ndarray) -> float:
-    """Median of the nonzero pairwise distances; 1.0 for constant input.
-
-    Sorted differences xs[j] - xs[i], i < j, are the same doubles as |x_a - x_b|.
-    """
-    xs = np.sort(np.asarray(x, dtype=float).ravel())
+    """Median of the nonzero pairwise distances; 1.0 for constant input."""
+    xs = np.sort(np.asarray(x, dtype=float).ravel())  # xs[j] - xs[i], i < j: the same doubles as |x_a - x_b|
     d = np.concatenate([xs[i + 1:] - xs[i] for i in range(xs.size - 1)] or [xs[:0]])
     d = d[d > 0]
     return float(np.median(d)) if d.size else 1.0
@@ -161,7 +158,7 @@ def objective(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset, kernels) -> fl
 def gradient(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset, kernels) -> ParamMatrix:
     """Exact partial derivatives of the objective in each free coefficient."""
     layout = _Layout(g, _resolved(g, kernels, ds, lam_tilde), ds.values)
-    _, grad_vec = _value_and_gradient(layout, lam_tilde.dense(), ds.values)
+    _, grad_vec = _value_and_gradient(layout, lam_tilde.dense())
     return ParamMatrix(g, {edge: float(x) for edge, x in zip(g.directed, grad_vec)})
 
 
@@ -180,9 +177,9 @@ class _Layout:
     of n samples each: row k*q + j holds power k+1 of polynomial column j,
     with a zero coefficient past the column's own degree.  `mask` is 1 on
     the blocks of independent poly-poly pairs, in both orders; pairs with
-    an RBF side go to `gram_pairs`, `last` maps each of their columns to
-    its last pair, and `fixed` holds the centred Gram of each parentless
-    RBF column, whose residual is its data column for every coefficient.
+    an RBF side go to `gram_pairs`, and `fixed` holds the centred Gram of
+    each parentless RBF column among them, whose residual is its data
+    column for every coefficient.
     """
 
     def __init__(self, g: MixedGraph, kernels: dict, x: np.ndarray):
@@ -206,9 +203,10 @@ class _Layout:
                     (g.index(u), g.index(v), kernels[u], kernels[v], bool(g.parents(u)), bool(g.parents(v)))
                 )
         self.mask = np.tile(pair_mask, (self.degree, self.degree))
-        self.last = {c: k for k, pair in enumerate(self.gram_pairs) for c in pair[:2]}
-        roots = [i for i in self.last if kernels[g.vertices[i]].kind == RBF and not g.parents(g.vertices[i])]
-        self.fixed = {i: _center(_gram(x[:, i], kernels[g.vertices[i]])) for i in roots}
+        self.x = x
+        sides = {g.vertices[c] for pair in self.gram_pairs for c in pair[:2]}
+        roots = [v for v in g.vertices if v in sides and kernels[v].kind == RBF and not g.parents(v)]
+        self.fixed = {g.index(v): _center(_gram(x[:, g.index(v)], kernels[v])) for v in roots}
         # polynomial columns whose residual depends on a coefficient, and their features
         self.grad = np.array([j for j, v in enumerate(poly) if g.parents(v)], dtype=int)
         self.grad_feats = (np.arange(self.degree)[:, None] * q + self.grad).ravel()
@@ -219,8 +217,8 @@ class _Layout:
         )
 
 
-def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray, x: np.ndarray):
-    """Objective value plus the gradient vector over the directed edges.
+def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
+    """Objective value plus the gradient vector over the directed edges of the layout's data.
 
     The chain rule runs through the residual columns: residual v moves by
     -X_u per unit of the (u, v) coefficient, so each edge gradient is the
@@ -233,10 +231,11 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray, x: np.ndarray):
     contractions use einsum's own loops rather than BLAS: inside the L-BFGS
     loop, waking a second BLAS thread per product costs more than it saves.
 
-    Gram pairs are summed in layout order.  Each column's Grams are built
-    once per evaluation and dropped after its last pair; a parentless RBF
-    column's centred Gram comes from the layout, built on the same x.
+    Gram pairs are summed in layout order, each building its sides' Grams
+    as the pairwise oracle does, except that a parentless RBF side takes
+    its centred Gram from the layout.
     """
+    x = layout.x
     n, p = x.shape
     r = x @ (np.eye(p) - lam_dense)
     gcol = np.zeros((p, n))  # residual-space gradient of each column, one row per column
@@ -258,22 +257,16 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray, x: np.ndarray):
         deriv[0] = 1.0
         deriv[1:] = powers[:-1, layout.grad]
         gcol[layout.poly[layout.grad]] = (2.0 / n**2) * np.einsum("kjn,kjn,kj->jn", deriv, gf, layout.grad_coef)
-    centred = dict(layout.fixed)  # column -> centred Gram, until its last pair
-    raw = {}  # RBF column with parents -> raw Gram, read and overwritten by its gradient
-    for k, (i, j, ki, kj, need_i, need_j) in enumerate(layout.gram_pairs):
-        for c, spec, need in ((i, ki, need_i), (j, kj, need_j)):
-            if c not in centred:
-                raw[c] = _gram(r[:, c], spec)
-                centred[c] = _center(raw[c] if need and spec.kind == RBF else raw.pop(c))
-        total += float(np.sum(centred[i] * centred[j])) / n**2
-        for c, spec, other, need in ((i, ki, j, need_i), (j, kj, i, need_j)):
-            if need:
-                shared = c in raw and layout.last[c] > k  # a later pair reads it too
-                gcol[c] += _gram_side_grad(r[:, c], spec, raw[c].copy() if shared else raw.get(c), centred[other], n)
-        for c in (i, j):
-            if layout.last[c] == k:
-                del centred[c]
-                raw.pop(c, None)
+    for i, j, ki, kj, need_i, need_j in layout.gram_pairs:
+        kxm = None if i in layout.fixed else _gram(r[:, i], ki)
+        kym = None if j in layout.fixed else _gram(r[:, j], kj)
+        kc = layout.fixed[i] if kxm is None else _center(kxm)
+        lc = layout.fixed[j] if kym is None else _center(kym)
+        total += float(np.sum(kc * lc)) / n**2
+        if need_i:
+            gcol[i] += _gram_side_grad(r[:, i], ki, kxm, lc, n)
+        if need_j:
+            gcol[j] += _gram_side_grad(r[:, j], kj, kym, kc, n)
     u, v = layout.edges
     return total, -np.einsum("ne,en->e", x[:, u], gcol[v])
 
@@ -410,7 +403,6 @@ def fit(
     bounds = [(-opts.bound * s, opts.bound * s) for s in edge_scale]
     x0 = np.array([init.values.get(edge, 0.0) for edge in edges])
     x0 = np.clip(x0, [b[0] for b in bounds], [b[1] for b in bounds]) if len(edges) else x0
-    x_data = ds.values
 
     def pack(vec: np.ndarray) -> np.ndarray:
         lam = np.zeros((p, p))
@@ -418,7 +410,7 @@ def fit(
         return lam
 
     def fun(vec):
-        value, grad = _value_and_gradient(layout, pack(vec), x_data)
+        value, grad = _value_and_gradient(layout, pack(vec))
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise _NonFinite(vec)
         return value, grad

@@ -157,7 +157,7 @@ class TestHsic:
         for deg, off in ((1, 1.0), (2, 1.0), (2, 0.0), (3, 2.0)):
             kx = ky = polynomial_kernel(deg, off)
             vg, gxg, gyg = _hsic_grads_gram(x, y, kx, ky, True, True)
-            vp, grad = _value_and_gradient(_Layout(g, {v: kx for v in g.vertices}, data), np.zeros((82, 82)), data)
+            vp, grad = _value_and_gradient(_Layout(g, {v: kx for v in g.vertices}, data), np.zeros((82, 82)))
             by_edge = dict(zip(g.directed, grad))
             gxp = -np.array([by_edge[(u, "a")] for u in parents])
             gyp = -np.array([by_edge[(u, "b")] for u in parents])
@@ -312,7 +312,7 @@ class TestGradient:
             gcol[:, i] += gi
             gcol[:, j] += gj
         expected = np.array([-x[:, g.index(u)] @ gcol[:, g.index(v)] for u, v in g.directed])
-        got_value, got = _value_and_gradient(_Layout(g, kernels, x), lam, x)
+        got_value, got = _value_and_gradient(_Layout(g, kernels, x), lam)
         assert got_value == pytest.approx(value, rel=1e-10)
         assert np.abs(got - expected).max(initial=0.0) <= 1e-10 * np.abs(expected).max(initial=0.0)
 
@@ -339,7 +339,7 @@ class TestGradient:
         tails = [g.index(u) for u, _ in g.directed]
         heads = [g.index(v) for _, v in g.directed]
         expected = -np.einsum("ne,en->e", x[:, tails], gcol[heads])
-        got_value, got = _value_and_gradient(_Layout(g, kernels, x), lam, x)
+        got_value, got = _value_and_gradient(_Layout(g, kernels, x), lam)
         assert got_value == value
         assert got.tobytes() == expected.tobytes()
 
@@ -350,19 +350,20 @@ class TestGradient:
         seen = []
         inner = estimate._value_and_gradient
 
-        def recording(layout, lam_dense, x):
-            seen.append((layout, lam_dense.copy(), x))
-            return inner(layout, lam_dense, x)
+        def recording(layout, lam_dense):
+            seen.append((layout, lam_dense.copy()))
+            return inner(layout, lam_dense)
 
         monkeypatch.setattr(estimate, "_value_and_gradient", recording)
         fit(g, data, rbf_kernel(), regression_init(g, data))
         roots = [g.index(v) for v in g.vertices if not g.parents(v)]
         assert roots == [0, 4] and len(seen) > 2
-        for layout, lam_dense, x in seen:
+        for layout, lam_dense in seen:
+            x = layout.x
             r = x @ (np.eye(5) - lam_dense)
             for c in roots:
                 assert r[:, c].tobytes() == x[:, c].tobytes()
-        layout, _, x = seen[0]
+        layout, x = seen[0][0], seen[0][0].x
         assert layout.fixed.keys() == set(roots)
         for c in roots:
             # a parentless column's bandwidth is resolved on its data column too
@@ -558,6 +559,21 @@ class TestFit:
         assert calls["cross-covariance"] == evaluations
         assert len(res.objective_trace) == res.iterations + 1
 
+    @staticmethod
+    def evaluation_peak(layout, lam_dense):
+        _value_and_gradient(layout, lam_dense)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _value_and_gradient(layout, lam_dense)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
     def test_rbf_evaluation_peak_memory(self):
         # One evaluation peaked at 5.02 n x n arrays while each pair built its own Grams.
         # Now the peak plus the Grams the layout holds for the whole fit stays below that.
@@ -570,20 +586,28 @@ class TestFit:
         layout = _Layout(g, kernels, x)
         assert layout.fixed.keys() == {g.index("v1")}
         assert layout.fixed[0].tobytes() == _center(_gram(x[:, 0], kernels["v1"])).tobytes()
-        _value_and_gradient(layout, lam.dense(), x)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _value_and_gradient(layout, lam.dense(), x)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
         held = sum(gram.nbytes for gram in layout.fixed.values())
-        assert peak + held <= 5.1 * 8 * n**2
+        assert self.evaluation_peak(layout, lam.dense()) + held <= 5.1 * 8 * n**2
+
+    def test_rbf_evaluation_peak_memory_does_not_grow_with_pairs(self):
+        # 26 all-RBF pairs, each column in 5 to 7 of them: one evaluation still peaks at
+        # the pair-by-pair loop's 5 n x n arrays (5.06 measured there), and the layout
+        # holds exactly one centred Gram per parentless column, v1 and v5.
+        n = 600
+        g = random_admg(8, 0.3, 2)
+        lam = sample_parameters(g, seed=2)
+        data = generate_data(g, lam, sample_errors(g, ErrorModel(kind=LAPLACE), n, seed=2))
+        x = data.values / data.values.std(axis=0)
+        r = x @ (np.eye(8) - lam.dense())
+        kernels = {v: resolve_kernel(rbf_kernel(), r[:, g.index(v)]) for v in g.vertices}
+        layout = _Layout(g, kernels, x)
+        sides = [c for pair in layout.gram_pairs for c in pair[:2]]
+        assert len(layout.gram_pairs) == 26 and min(map(sides.count, sides)) == 5
+        roots = [g.index(v) for v in g.vertices if not g.parents(v)]
+        assert layout.fixed.keys() == set(roots) == {0, 4}
+        for c in roots:
+            assert layout.fixed[c].tobytes() == _center(_gram(x[:, c], kernels[g.vertices[c]])).tobytes()
+        assert self.evaluation_peak(layout, lam.dense()) <= 5.1 * 8 * n**2
 
     def test_multistart_never_worse(self):
         g = double_confounder()
