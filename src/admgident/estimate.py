@@ -415,6 +415,11 @@ def fit(
             raise _NonFinite(vec)
         return value, grad
 
+    def unscale(vec: np.ndarray) -> ParamMatrix:
+        # a coefficient on a standardised bound can round past the box on the way back
+        lam = np.clip(vec / edge_scale, -opts.bound, opts.bound)
+        return ParamMatrix(g, {edge: float(lam[i]) for i, edge in enumerate(edges)})
+
     trace = [fun(x0)[0]]
 
     def record(intermediate_result):
@@ -446,18 +451,11 @@ def fit(
             },
         )
     except _NonFinite as exc:
-        raise NonFiniteObjective(
-            "objective became non-finite during optimization",
-            last_iterate=ParamMatrix(
-                g, {edge: float(exc.vec[i] / edge_scale[i]) for i, edge in enumerate(edges)}
-            ),
-        ) from None
+        message = "objective became non-finite during optimization"
+        raise NonFiniteObjective(message, last_iterate=unscale(exc.vec)) from None
 
-    lam_hat = ParamMatrix(
-        g, {edge: float(res.x[i] / edge_scale[i]) for i, edge in enumerate(edges)}
-    )
     return EstimateResult(
-        lam_hat=lam_hat,
+        lam_hat=unscale(res.x),
         objective_trace=tuple(trace),
         iterations=int(res.nit),
         converged=bool(res.status == 0),

@@ -370,7 +370,7 @@ class TestGradient:
             gram = _gram(x[:, c], resolve_kernel(rbf_kernel(), x[:, c]))
             assert layout.fixed[c].tobytes() == _center(gram).tobytes()
 
-    # RBF fits recorded while each Gram was still built once per pair, as repr floats:
+    # RBF fits recorded with every Gram built inside its pair by _hsic_grads_gram, as repr floats:
     # graph, data seed, iterations, coefficients, objective trace.  Regression init,
     # n=300 Laplace.  Parentless v1 and v5 of the random graph sit in 4 and 3 pairs.
     RBF_FITS = (
@@ -512,6 +512,17 @@ class TestFit:
         res = fit(g, data, polynomial_kernel(2, 1.0), ParamMatrix(g, {}), opts=FitOptions(bound=0.5))
         assert all(abs(v) <= 0.5 + 1e-9 for v in res.lam_hat.values.values())
 
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 11.0])
+    def test_coefficients_on_the_bound_stay_in_the_box(self, scale):
+        # Both coefficients end on the standardised bound 0.1 * sd_u / sd_v; mapped back,
+        # v2->v3 at scale 11 used to read 0.10000000000000002.
+        g = iv_graph()
+        data = generate_data(g, sample_parameters(g, seed=0), sample_errors(g, ErrorModel(kind=LAPLACE), 200, seed=0))
+        data = Dataset(data.columns, data.values * np.array([1.0, scale, 1.0]), data.provenance)
+        res = fit(g, data, polynomial_kernel(2, 1.0), regression_init(g, data), FitOptions(bound=0.1))
+        assert all(abs(v) <= 0.1 for v in res.lam_hat.values.values())
+        assert res.lam_hat.get("v1", "v2") == 0.1
+
     def test_no_edges_graph(self):
         g = MixedGraph(["a", "b"], [], [])
         data = sample_errors(g, ErrorModel(), 50, seed=0)
@@ -575,8 +586,8 @@ class TestFit:
                 tracemalloc.stop()
 
     def test_rbf_evaluation_peak_memory(self):
-        # One evaluation peaked at 5.02 n x n arrays while each pair built its own Grams.
-        # Now the peak plus the Grams the layout holds for the whole fit stays below that.
+        # The pairwise oracle loop peaks at 5.02 n x n arrays per evaluation.  With v1's
+        # centred Gram from the layout, the peak plus that held Gram stays below it.
         n = 600
         g = iv_graph()
         lam = sample_parameters(g, seed=0)
