@@ -325,8 +325,8 @@ class FitOptions:
     """Optimizer knobs: iteration cap, gradient tolerance, coefficient box.
 
     With `standardize` set (the default) the optimizer works on columns
-    scaled to unit variance and maps the coefficients and the box back
-    exactly; the population zero set of the objective is unchanged
+    scaled to unit variance and maps the coefficients back into the box;
+    the population zero set of the objective is unchanged
     (independence is scale-invariant) while conditioning improves a lot on
     data whose column variances span orders of magnitude.
     """
