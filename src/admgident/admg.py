@@ -169,12 +169,8 @@ class Relations:
 
 
 def is_acyclic(g: MixedGraph) -> bool:
-    """True iff the directed part has no non-trivial directed cycle."""
-    try:
-        causal_order(g)
-    except CyclicGraph:
-        return False
-    return True
+    """True iff the directed part has no non-trivial directed cycle: no edge u -> v with v in an(u)."""
+    return not any(v in g.ancestors(u) for u, v in g.directed)
 
 
 def causal_order(g: MixedGraph) -> tuple[str, ...]:

@@ -23,7 +23,6 @@ from .errors import (
     AdmgIdentError,
     BindingMismatch,
     CyclicGraph,
-    GraphError,
     GraphFormatError,
     NonFiniteObjective,
     NotCycleDecomposable,
@@ -51,9 +50,6 @@ def main(argv=None) -> int:
     except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, BindingMismatch, NotCycleDecomposable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NonFiniteObjective as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -153,30 +149,23 @@ def cmd_check(args) -> int:
         return _check_cyclic(args, g, acyclic)
     if args.edge:
         u, v = _parse_pair(args.edge)
-        if args.known:
-            known = [w.strip() for w in args.known.split(",") if w.strip()]
-            verdict = ident.is_identifiable_with_knowledge(g, v, (u,), known)
-        else:
-            verdict = ident.is_identifiable(g, v, (u,))
-        doc = {"edge": f"{u}->{v}", "identifiable": verdict}
+        known = [w.strip() for w in (args.known or "").split(",") if w.strip()]
+        doc = {"edge": f"{u}->{v}", "identifiable": ident.is_identifiable_with_knowledge(g, v, (u,), known)}
         if args.known:
             doc["known"] = sorted(known)
         _emit(args, _render(args, doc, lambda d: f"{d['edge']}: {'identifiable' if d['identifiable'] else 'not identifiable'}\n"))
         return 0
     report = ident.is_matrix_identifiable(g, graph_id=os.path.basename(args.graph))
-    if args.human:
-        lines = [f"matrix identifiable: {report.all_identifiable}"]
-        for v, col in report.columns.items():
-            lines.append(
-                f"  column {v}: rank {col.rank}/{len(g.parents(v))}"
-                f" {'identifiable' if col.identifiable else 'NOT identifiable'}"
-            )
-        for (u, v), ok in report.edges.items():
-            lines.append(f"  edge {u}->{v}: {'identifiable' if ok else 'NOT identifiable'}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, report.to_json())
+    _emit(args, _render(args, report.to_dict(), lambda doc: _human_report(doc, g)))
     return 0
+
+
+def _human_report(doc, g) -> str:
+    columns, mark = doc["columns"], lambda ok: "identifiable" if ok else "NOT identifiable"
+    lines = [f"matrix identifiable: {all(c['identifiable'] for c in columns.values())}"]
+    lines += [f"  column {v}: rank {c['rank']}/{len(g.parents(v))} {mark(c['identifiable'])}" for v, c in columns.items()]
+    lines += [f"  edge {edge}: {mark(ok)}" for edge, ok in doc["edges"].items()]
+    return "\n".join(lines) + "\n"
 
 
 def _check_cyclic(args, g, acyclic: bool) -> int:
@@ -241,15 +230,15 @@ def cmd_flow(args) -> int:
         "max_flow": value,
         "witness": [list(path) for path in witness],
     }
-    if args.human:
-        lines = [f"max flow: {value}"]
-        for (u, w, c), f in zip(net.arcs, flows):
-            lines.append(f"  {u} -> {w}  cap {c}  flow {f}")
-        lines.append("witness paths: " + "; ".join("->".join(p) for p in witness))
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _emit(args, _render(args, doc, _human_flow))
     return 0
+
+
+def _human_flow(doc) -> str:
+    lines = [f"max flow: {doc['max_flow']}"]
+    lines += [f"  {u} -> {w}  cap {c}  flow {f}" for u, w, c, f in doc["arcs"]]
+    lines.append("witness paths: " + "; ".join("->".join(p) for p in doc["witness"]))
+    return "\n".join(lines) + "\n"
 
 
 # -- verify ----------------------------------------------------------------------

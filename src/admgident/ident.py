@@ -209,9 +209,9 @@ class _Dinic:
         return found
 
 
-def _solve(g: MixedGraph, v: str, q):
+def _solve(g: MixedGraph, v: str, q, col: _Column | None = None):
     """Ancestors, arcs and solved `_Dinic` of the network for q, plus its max flow."""
-    anc, arcs = _network(g, v, q)
+    anc, arcs = _network(g, v, q, col)
     solver = _Dinic(2 * len(anc) + 2, arcs)
     return anc, arcs, solver, solver.max_flow(0, 1)
 
@@ -279,8 +279,10 @@ def is_identifiable(g: MixedGraph, v: str, q) -> bool:
 def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
     """Identifiability of the q-coefficients when the k-coefficients are known.
 
-    Rank identity: r(pa \\ (k u q)) = r(pa \\ k) - |k u q| + |k|, which reduces
-    to the plain criterion for empty k and is trivially true for q inside k.
+    Rank identity: r(pa \\ (k u q)) = r(pa \\ k) - |q \\ k|, which reduces to
+    the plain criterion for empty k and is trivially true for q inside k.  A
+    rank drops by one per deleted element exactly when every element deleted
+    is a coloop of the gammoid on pa \\ k, so one solve of pa \\ k decides it.
     """
     if not is_acyclic(g):
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
@@ -291,10 +293,19 @@ def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
         raise NotAParentSubset(q, v)
     if not set(k) <= pa:
         raise NotAParentSubset(k, v)
-    union = set(q) | set(k)
-    lhs = v_rank(g, v, pa - union)
-    rhs = v_rank(g, v, pa - set(k)) - len(union) + len(k)
-    return lhs == rhs
+    coloop = _coloop(*_solve(g, v, pa - set(k))[:3])
+    return all(coloop(u) for u in q if u not in k)
+
+
+def _coloop(anc, arcs, solver):
+    """The coloop test of a solved column network, as a function of a target u.
+
+    u lies in every maximum path system into q (a coloop of the gammoid on q,
+    Mason 1972) iff its sink arc carries flow that no residual path
+    reroutes to the sink.
+    """
+    sink_arc = {anc[a // 2 - 1]: k for k, (a, b, _) in enumerate(arcs) if b == 1}
+    return lambda u: solver.cap[2 * sink_arc[u] + 1] > 0 and not solver.reroutes(sink_arc[u], 1)
 
 
 @dataclass(frozen=True)
@@ -317,8 +328,8 @@ class IdentReport:
     def all_identifiable(self) -> bool:
         return all(c.identifiable for c in self.columns.values())
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "columns": {
                 v: {
                     "removable": list(c.removable),
@@ -330,7 +341,9 @@ class IdentReport:
             },
             "edges": {f"{u}->{v}": b for (u, v), b in self.edges.items()},
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
@@ -340,9 +353,8 @@ def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
     iff every column is.  One maximum flow per column gives both the rank and,
     decomposed into a vertex-disjoint path system, the certificate carried by
     identifiable columns.  An edge u -> v into a non-identifiable column is
-    identifiable iff dropping u lowers that rank by exactly one: u's sink arc
-    carries flow that no residual path reroutes to the sink (the coloop test
-    of the gammoid, Mason 1972), so no second solve is needed.
+    identifiable iff dropping u lowers that rank by exactly one, which
+    `_coloop` reads from the same residual graph, so no second solve is needed.
     """
     if not is_acyclic(g):
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
@@ -350,18 +362,18 @@ def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
     verdicts = {}
     for v in g.vertices:
         pa = g.parents(v)
-        anc, arcs, solver, rank = _solve(g, v, pa)
+        col = _column(g, v)
+        anc, arcs, solver, rank = _solve(g, v, pa, col)
         ok = rank == len(pa)
         columns[v] = ColumnVerdict(
-            # The source arcs feed the removable ancestors in declaration order.
-            removable=tuple(anc[b // 2 - 1] for a, b, _ in arcs if a == 0),
+            removable=col.removable,
             rank=rank,
             identifiable=ok,
             witness=_paths(anc, arcs, solver.cap[1::2]) if ok else (),
         )
-        for k, (a, b, _) in enumerate(arcs):
-            if b == 1:
-                verdicts[anc[a // 2 - 1], v] = ok or (solver.cap[2 * k + 1] > 0 and not solver.reroutes(k, 1))
+        coloop = _coloop(anc, arcs, solver)
+        for u in pa:
+            verdicts[u, v] = ok or coloop(u)
     edges = {e: verdicts[e] for e in g.directed}
     return IdentReport(graph_id=graph_id, columns=columns, edges=edges)
 

@@ -242,13 +242,13 @@ def a_matrix(g: MixedGraph, lam: ParamMatrix, lam_tilde: ParamMatrix) -> np.ndar
     return out
 
 
-def _numeric_rank(m: np.ndarray) -> int:
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+def _rank(s: np.ndarray):
+    """Numeric rank from singular values, per matrix of a stack (last axis, largest first).
+
+    A value counts when it exceeds RANK_TOL times the largest, so an all-zero
+    or empty matrix has rank 0.
+    """
+    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
 def system_matrix(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> np.ndarray:
@@ -277,7 +277,8 @@ def fiber_dimension(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> int:
         raise CyclicGraph("fiber dimension is defined for acyclic bindings")
     pinned = g.sort_vertices(pinned)
     free = [w for w in g.parents(v) if w not in set(pinned)]
-    return len(free) - _numeric_rank(system_matrix(g, lam, v, pinned))
+    s = np.linalg.svd(system_matrix(g, lam, v, pinned), compute_uv=False)
+    return len(free) - int(_rank(s))
 
 
 def fiber_dimension_modal(g: MixedGraph, v: str, pinned=(), seed: int = 0, draws: int = 5) -> int:
@@ -285,9 +286,13 @@ def fiber_dimension_modal(g: MixedGraph, v: str, pinned=(), seed: int = 0, draws
 
     Guards against a single draw landing near the non-generic locus.
     """
+    if not is_acyclic(g):
+        raise CyclicGraph("fiber dimension is defined for acyclic bindings")
+    pinned = g.sort_vertices(pinned)
+    free = [w for w in g.parents(v) if w not in pinned]
+    removable = g.sort_vertices(removable_ancestors(g, v))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dims = [fiber_dimension(g, generic_parameters(g, rng), v, pinned) for _ in range(draws)]
-    return Counter(dims).most_common(1)[0][0]
+    return len(free) - _modal_rank(g, draw_b_stack(g, rng, draws), removable, free)
 
 
 def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
@@ -299,18 +304,8 @@ def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
     q = g.sort_vertices(q)
     k = g.sort_vertices(k)
     free = [w for w in g.parents(v) if w not in set(k)]
-    if not free:
-        return True
-    m = system_matrix(g, lam, v, k)
-    if m.shape[0] == 0:
-        null_basis = np.eye(len(free))
-    else:
-        u_, s, vt = np.linalg.svd(m)
-        tol = RANK_TOL * (s[0] if s.size else 1.0)
-        rank = int(np.sum(s > tol))
-        null_basis = vt[rank:].T
-    if null_basis.shape[1] == 0:
-        return True
+    _, s, vt = np.linalg.svd(system_matrix(g, lam, v, k))
+    null_basis = vt[_rank(s):].T
     q_rows = [i for i, w in enumerate(free) if w in set(q)]
     return bool(np.all(np.abs(null_basis[q_rows, :]) < 1e-8))
 
@@ -321,7 +316,7 @@ def nongeneric_locus_check(g: MixedGraph, lam: ParamMatrix, v: str) -> bool:
     The generic rank is the flow-computed v-rank of pa(v); a strict drop at
     the supplied parameter point marks it as non-generic for column v.
     """
-    rank_here = _numeric_rank(system_matrix(g, lam, v))
+    rank_here = int(_rank(np.linalg.svd(system_matrix(g, lam, v), compute_uv=False)))
     return rank_here < v_rank(g, v, g.parents(v))
 
 
@@ -424,8 +419,7 @@ def _modal_rank(g: MixedGraph, b_stack, removable, q) -> int:
     rows = [g.index(u) for u in q]
     cols = [g.index(u) for u in removable]
     blocks = b_stack[:, rows, :][:, :, cols]
-    s = np.linalg.svd(blocks, compute_uv=False)
-    ranks = np.sum(s > RANK_TOL * s[:, :1], axis=1)
+    ranks = _rank(np.linalg.svd(blocks, compute_uv=False))
     return int(Counter(ranks.tolist()).most_common(1)[0][0])
 
 

@@ -159,6 +159,44 @@ class TestCheck:
         assert json.loads(capsys.readouterr().out)["witness"] == [vs[:-1]]
 
 
+    def test_edge_queries_make_one_solve(self, diamond_file, monkeypatch, capsys):
+        solves = []
+        solve = ident._Dinic.max_flow
+
+        def counting_solve(self, s, t):
+            solves.append((s, t))
+            return solve(self, s, t)
+
+        monkeypatch.setattr(ident._Dinic, "max_flow", counting_solve)
+        for known in ([], ["--known", "v2"], ["--known", "v3"], ["--known", "v2,v3"]):
+            for u in ("v2", "v3"):
+                solves.clear()
+                assert main(["check", diamond_file, "--edge", f"{u},v4", *known]) == 0
+                assert len(solves) == 1
+
+    def test_stdout_matches_stored_digest(self, tmp_path, capsys):
+        # The report and every --edge query, alone and with the other parents
+        # known, as JSON and --human; recorded when --edge solved pa(v) - k and
+        # pa(v) - (k u {u}) apart and the report's --human lines had their own branch.
+        digest = hashlib.sha256()
+        runs = 0
+        for i, (p, density, seed) in enumerate((p, d, s) for p in (5, 12) for d in (0.3, 0.6, 0.9) for s in range(3)):
+            g = random_admg(p, density, seed)
+            path = tmp_path / f"g{i}.json"
+            path.write_text(graph_to_json(g))
+            queries = [[]]
+            for u, v in g.directed:
+                others = [w for w in g.parents(v) if w != u]
+                queries += [["--edge", f"{u},{v}"], ["--edge", f"{u},{v}", "--known", ",".join(others[::-1]) or ","]]
+            for query in queries:
+                for human in ([], ["--human"]):
+                    code = main(["check", str(path), *query, *human])
+                    digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+                    runs += 1
+        assert runs == 1464
+        assert digest.hexdigest() == "4771859a3eca2a51511a9af958f9fd82f8b945017b6a479b5bc553ce4b5be380"
+
+
 class TestFlow:
     def test_diamond_last_column(self, diamond_file, capsys):
         assert main(["flow", diamond_file, "--node", "v4", "--set", "v2,v3"]) == 0

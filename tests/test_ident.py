@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from admgident import (
     MixedGraph,
+    brute_force_v_rank,
     build_flow_network,
     is_acyclic,
     cycle_decomposition_identifiable,
@@ -220,15 +221,90 @@ class TestLocalCriterion:
             is_identifiable(two_cycle(), "v1", ["v2"])
 
 
+def _rank_identity(g, v, q, k, rank) -> bool:
+    """The known-coefficient criterion written out: r(pa - (k u q)) = r(pa - k) - |q - k|."""
+    pa, q, k = set(g.parents(v)), set(q), set(k)
+    return rank(g, v, pa - k - q) == rank(g, v, pa - k) - len(q - k)
+
+
+def _memo(rank):
+    """`rank` cached per (graph, v, target set); the identity asks for the same sets often."""
+    cache = {}
+
+    def cached(g, v, q):
+        key = (id(g), v, frozenset(q))
+        if key not in cache:
+            cache[key] = rank(g, v, q)
+        return cache[key]
+
+    return cached
+
+
 class TestKnowledgeCriterion:
-    def test_empty_knowledge_reduces_to_plain(self):
-        for seed in range(30):
-            g = random_admg(4, 0.7, seed)
-            for v in g.vertices:
+    @pytest.mark.parametrize("p, cases", [(4, 2000), (5, 3000), (6, 3400), (7, 3600), (12, 3700), (25, 3800)])
+    def test_agrees_with_the_rank_identity(self, p, cases):
+        # The criterion runs the coloop test on one solve of pa - k; the identity
+        # solves pa - (k u q) and pa - k apart.  q and k are drawn independently,
+        # so they overlap, nest, or one is empty.
+        rng = random.Random(p)
+        rank = _memo(v_rank)
+        graphs = [random_admg(p, density, seed) for seed in range(40) for density in (0.3, 0.6, 0.9)]
+        checked = 0
+        verdicts = Counter()
+        for g in graphs:
+            targets = [v for v in g.vertices if g.parents(v)]
+            for v in rng.sample(targets, min(len(targets), 4)):
                 pa = g.parents(v)
-                for size in range(len(pa) + 1):
-                    for q in combinations(pa, size):
-                        assert is_identifiable_with_knowledge(g, v, q, []) == is_identifiable(g, v, q)
+                for _ in range(8):
+                    q = [w for w in pa if rng.random() < 0.5]
+                    k = [w for w in pa if rng.random() < 0.3]
+                    verdict = is_identifiable_with_knowledge(g, v, q, k)
+                    assert verdict == _rank_identity(g, v, q, k, rank), (g, v, q, k)
+                    verdicts[verdict] += 1
+                    checked += 1
+        assert checked >= cases
+        assert verdicts[True] and verdicts[False]
+
+    def test_agrees_with_the_enumerated_rank_identity(self):
+        # Every (q, k) pair of every column, against ranks from exhaustive
+        # path-system search, which does not use the flow engine.
+        checked = 0
+        for p in (3, 4, 5):
+            for seed in range(60):
+                g = random_admg(p, (0.4, 0.7, 0.9)[seed % 3], seed)
+                rank = _memo(brute_force_v_rank)
+                for v in g.vertices:
+                    subsets = [q for size in range(len(g.parents(v)) + 1) for q in combinations(g.parents(v), size)]
+                    for q in subsets:
+                        for k in subsets:
+                            assert is_identifiable_with_knowledge(g, v, q, k) == _rank_identity(g, v, q, k, rank)
+                            checked += 1
+        assert checked >= 10_000
+
+    def test_one_max_flow_solve_per_query(self, monkeypatch):
+        solves = []
+        solve = ident._Dinic.max_flow
+
+        def counting_solve(self, s, t):
+            solves.append((s, t))
+            return solve(self, s, t)
+
+        monkeypatch.setattr(ident._Dinic, "max_flow", counting_solve)
+        queries = 0
+        for density in (0.3, 0.6, 0.9):
+            for seed in range(10):
+                g = random_admg(7, density, seed)
+                for u, v in g.directed:
+                    others = [w for w in g.parents(v) if w != u]
+                    for k in ((), others[:1], others, (u,)):
+                        solves.clear()
+                        is_identifiable_with_knowledge(g, v, (u,), k)
+                        assert len(solves) == 1
+                        queries += 1
+                    solves.clear()
+                    is_identifiable(g, v, (u,))
+                    assert len(solves) == 1
+        assert queries > 100
 
     def test_known_parameters_are_identifiable(self):
         g = half_identifiable_collider()
@@ -295,13 +371,14 @@ class TestMatrixReport:
     @pytest.mark.parametrize("p", [4, 5, 6, 7, 12, 25])
     @pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
     def test_report_agrees_with_single_edge_and_rank_criteria(self, p, density):
-        # The edge verdicts come from one residual graph per column; is_identifiable
-        # solves pa(v) and pa(v) - u separately, so it is the differential oracle.
+        # The edge verdicts come from one residual graph per column; the rank
+        # identity r(pa(v) - u) = r(pa(v)) - 1 solves the two sets apart, so it
+        # is the differential oracle.  is_identifiable runs the report's own test.
         for seed in range(10 if p < 12 else 5):
             g = random_admg(p, density, seed)
             report = is_matrix_identifiable(g)
             for (u, v), ok in report.edges.items():
-                assert ok == is_identifiable(g, v, (u,))
+                assert ok == _rank_identity(g, v, (u,), (), v_rank) == is_identifiable(g, v, (u,))
             for v, col in report.columns.items():
                 assert col.rank == v_rank(g, v, g.parents(v))
                 if col.identifiable:

@@ -1,4 +1,6 @@
 import hashlib
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from admgident import (
     verify_sweep,
 )
 from admgident import ident
-from admgident.errors import BindingMismatch, SingularMatrix, SizeMismatch, TooLarge
+from admgident.errors import BindingMismatch, CyclicGraph, SingularMatrix, SizeMismatch, TooLarge
 from admgident.oracle import all_dags, generic_parameters
 from figures import confounded_diamond, double_confounder, half_identifiable_collider, two_cycle
 
@@ -219,6 +221,28 @@ class TestFiber:
     def test_modal_dimensions(self):
         assert fiber_dimension_modal(confounded_diamond(), "v4", seed=5) == 0
         assert fiber_dimension_modal(confounded_diamond(), "v2", seed=5) == 1
+
+    def test_modal_dimensions_match_stored_digest(self):
+        # Every pinned subset of every column of 54 seeded graphs, with 1-5 draws;
+        # recorded when each draw ran `fiber_dimension` and a Counter took the mode.
+        digest = hashlib.sha256()
+        values = Counter()
+        for p in (4, 5, 6):
+            for density in (0.3, 0.6, 0.9):
+                for seed in range(6):
+                    g = random_admg(p, density, seed)
+                    for v in g.vertices:
+                        pa = g.parents(v)
+                        for pinned in (c for size in range(len(pa) + 1) for c in combinations(pa, size)):
+                            d = fiber_dimension_modal(g, v, pinned, seed=seed, draws=1 + seed % 5)
+                            digest.update(f"{d}\n".encode())
+                            values[d] += 1
+        assert values == {0: 683, 1: 155, 2: 106, 3: 53, 4: 15, 5: 2}
+        assert digest.hexdigest() == "660a325e8c421b27b459e58685e4dd5fe1f1717de481408b67d7e41ff9aebb5c"
+
+    def test_modal_dimension_rejects_cyclic_graphs(self):
+        with pytest.raises(CyclicGraph):
+            fiber_dimension_modal(two_cycle(), "v1")
 
     def test_pinning_reduces_dimension(self):
         g = confounded_diamond()
