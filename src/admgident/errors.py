@@ -66,6 +66,14 @@ class TooLarge(AdmgIdentError):
     """Input exceeds the documented brute-force enumeration limits."""
 
 
+class InvalidDrawCount(AdmgIdentError):
+    """A modal rank needs at least one generic parameter draw."""
+
+    def __init__(self, draws):
+        self.draws = draws
+        super().__init__(f"need at least 1 parameter draw, got {draws}")
+
+
 class BindingMismatch(AdmgIdentError):
     """Two objects are bound to different graphs or column sets."""
 

@@ -83,11 +83,11 @@ def _gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.kind == POLYNOMIAL:
         return (np.outer(x, x) + spec.offset) ** spec.degree
     spec = resolve_kernel(spec, x)
-    # exp(-(d**2) / (2 sigma^2)), computed in one n x n buffer
+    # exp(d**2 / -(2 sigma^2)) in one n x n buffer: division rounds sign-symmetrically,
+    # so this is bit for bit exp(-(d**2) / (2 sigma^2))
     k = np.subtract.outer(x, x)
     np.square(k, out=k)
-    np.negative(k, out=k)
-    np.divide(k, 2.0 * spec.bandwidth**2, out=k)
+    np.divide(k, -2.0 * spec.bandwidth**2, out=k)
     return np.exp(k, out=k)
 
 
@@ -177,9 +177,10 @@ class _Layout:
     of n samples each: row k*q + j holds power k+1 of polynomial column j,
     with a zero coefficient past the column's own degree.  `mask` is 1 on
     the blocks of independent poly-poly pairs, in both orders; pairs with
-    an RBF side go to `gram_pairs`, and `fixed` holds the centred Gram of
-    each parentless RBF column among them, whose residual is its data
-    column for every coefficient.
+    an RBF side go to `gram_pairs`.  A parentless column's residual is its
+    data column for every coefficient, so a Gram pair of two parentless
+    sides adds the constant `constant`, and `fixed` holds the centred Gram
+    of each parentless side paired with a column that has parents.
     """
 
     def __init__(self, g: MixedGraph, kernels: dict, x: np.ndarray):
@@ -204,9 +205,13 @@ class _Layout:
                 )
         self.mask = np.tile(pair_mask, (self.degree, self.degree))
         self.x = x
-        sides = {g.vertices[c] for pair in self.gram_pairs for c in pair[:2]}
-        roots = [v for v in g.vertices if v in sides and kernels[v].kind == RBF and not g.parents(v)]
-        self.fixed = {g.index(v): _center(_gram(x[:, g.index(v)], kernels[v])) for v in roots}
+        self.constant = sum(
+            hsic_biased(x[:, i], x[:, j], ki, kj) for i, j, ki, kj, need_i, need_j in self.gram_pairs
+            if not (need_i or need_j)
+        )
+        held = {c for i, j, _, _, need_i, need_j in self.gram_pairs for c, need in ((i, need_i), (j, need_j))
+                if need_i != need_j and not need}
+        self.fixed = {c: _center(_gram(x[:, c], kernels[g.vertices[c]])) for c in sorted(held)}
         # polynomial columns whose residual depends on a coefficient, and their features
         self.grad = np.array([j for j, v in enumerate(poly) if g.parents(v)], dtype=int)
         self.grad_feats = (np.arange(self.degree)[:, None] * q + self.grad).ravel()
@@ -231,9 +236,13 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
     contractions use einsum's own loops rather than BLAS: inside the L-BFGS
     loop, waking a second BLAS thread per product costs more than it saves.
 
-    Gram pairs are summed in layout order, each building its sides' Grams
-    as the pairwise oracle does, except that a parentless RBF side takes
-    its centred Gram from the layout.
+    Gram pairs use trace(K H L H) = sum(K * HLH), H being idempotent: one
+    raw and one centred side give the value.  A parentless side's centred
+    Gram comes from the layout; a side with parents builds its raw Gram,
+    and centres it only for a partner that needs a gradient.  An RBF
+    side's gradient forms K * HLH anyway, so its row sums give the value.
+    Gradients are bit for bit those of the pairwise oracle; the value
+    differs from it by rounding.
     """
     x = layout.x
     n, p = x.shape
@@ -257,18 +266,36 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
         deriv[0] = 1.0
         deriv[1:] = powers[:-1, layout.grad]
         gcol[layout.poly[layout.grad]] = (2.0 / n**2) * np.einsum("kjn,kjn,kj->jn", deriv, gf, layout.grad_coef)
-    for i, j, ki, kj, need_i, need_j in layout.gram_pairs:
-        kxm = None if i in layout.fixed else _gram(r[:, i], ki)
-        kym = None if j in layout.fixed else _gram(r[:, j], kj)
-        kc = layout.fixed[i] if kxm is None else _center(kxm)
-        lc = layout.fixed[j] if kym is None else _center(kym)
-        total += float(np.sum(kc * lc)) / n**2
-        if need_i:
-            gcol[i] += _gram_side_grad(r[:, i], ki, kxm, lc, n)
-        if need_j:
-            gcol[j] += _gram_side_grad(r[:, j], kj, kym, kc, n)
+    total += layout.constant
+    for pair in layout.gram_pairs:
+        if pair[4] or pair[5]:  # else both residuals are data columns, in layout.constant
+            total += _gram_pair(layout, r, gcol, *pair)
     u, v = layout.edges
     return total, -np.einsum("ne,en->e", x[:, u], gcol[v])
+
+
+def _gram_pair(layout, r, gcol, i, j, ki, kj, need_i, need_j) -> float:
+    """HSIC of one Gram pair with a side that has parents; adds its side gradients to gcol.
+
+    Its n x n arrays are freed on return, before the next pair builds its own.
+    """
+    n = r.shape[0]
+    kxm = None if i in layout.fixed else _gram(r[:, i], ki)
+    kym = None if j in layout.fixed else _gram(r[:, j], kj)
+    kc = layout.fixed[i] if kxm is None else _center(kxm) if need_j else None
+    lc = layout.fixed[j] if kym is None else _center(kym) if need_i else None
+    value = None
+    for c, spec, k, other, need in ((i, ki, kxm, lc, need_i), (j, kj, kym, kc, need_j)):
+        if need and spec.kind == RBF:
+            grad, side_value = _rbf_side_grad(r[:, c], spec, k, other, n)
+            value = side_value if value is None else value
+            gcol[c] += grad
+        elif need:
+            gcol[c] += _gram_side_grad(r[:, c], spec, k, other, n)
+    if value is None:  # a polynomial side with parents against a held RBF side
+        k, other = (kxm, lc) if need_i else (kym, kc)
+        value = float(np.sum(k * other)) / n**2
+    return value
 
 
 def _hsic_grads_gram(x, y, kx, ky, need_gx, need_gy):
@@ -292,9 +319,14 @@ def _gram_side_grad(x, spec, k, other_centered, n):
     if spec.kind == POLYNOMIAL:
         base = spec.degree * (np.outer(x, x) + spec.offset) ** (spec.degree - 1)
         return (2.0 / n**2) * ((base * other_centered) @ x)
-    sigma = spec.bandwidth
+    return _rbf_side_grad(x, spec, k, other_centered, n)[0]
+
+
+def _rbf_side_grad(x, spec, k, other_centered, n):
+    # w = K * (HLH) overwrites k; its total is n^2 times the pair's HSIC
     w = np.multiply(k, other_centered, out=k)
-    return (2.0 / (n**2 * sigma**2)) * (w @ x - w.sum(axis=1) * x)
+    rows = w.sum(axis=1)
+    return (2.0 / (n**2 * spec.bandwidth**2)) * (w @ x - rows * x), float(rows.sum()) / n**2
 
 
 def regression_init(g: MixedGraph, ds: Dataset) -> ParamMatrix:

@@ -19,6 +19,7 @@ from .errors import (
     BindingMismatch,
     CyclicGraph,
     GraphFormatError,
+    InvalidDrawCount,
     SingularMatrix,
     SizeMismatch,
     TooLarge,
@@ -425,6 +426,8 @@ def _modal_rank(g: MixedGraph, b_stack, removable, q) -> int:
 
 def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
     """Stack of path matrices at independent generic parameter draws."""
+    if draws < 1:
+        raise InvalidDrawCount(draws)
     p = g.num_vertices
     stack = np.empty((draws, p, p))
     for d in range(draws):

@@ -24,7 +24,14 @@ from admgident import (
     verify_sweep,
 )
 from admgident import ident
-from admgident.errors import BindingMismatch, CyclicGraph, SingularMatrix, SizeMismatch, TooLarge
+from admgident.errors import (
+    BindingMismatch,
+    CyclicGraph,
+    InvalidDrawCount,
+    SingularMatrix,
+    SizeMismatch,
+    TooLarge,
+)
 from admgident.oracle import all_dags, generic_parameters
 from figures import confounded_diamond, double_confounder, half_identifiable_collider, two_cycle
 
@@ -243,6 +250,16 @@ class TestFiber:
     def test_modal_dimension_rejects_cyclic_graphs(self):
         with pytest.raises(CyclicGraph):
             fiber_dimension_modal(two_cycle(), "v1")
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_draw_count_below_one_rejected(self, draws):
+        # v4 has removable ancestors and free parents, so a modal rank over no draws has no mode
+        for call in (
+            lambda: fiber_dimension_modal(confounded_diamond(), "v4", draws=draws),
+            lambda: cross_check_graph(confounded_diamond(), draws=draws),
+        ):
+            with pytest.raises(InvalidDrawCount, match=f"got {draws}$"):
+                call()
 
     def test_pinning_reduces_dimension(self):
         g = confounded_diamond()
