@@ -287,8 +287,7 @@ def _gram_pair(layout, r, gcol, i, j, ki, kj, need_i, need_j) -> float:
     value = None
     for c, spec, k, other, need in ((i, ki, kxm, lc, need_i), (j, kj, kym, kc, need_j)):
         if need and spec.kind == RBF:
-            grad, side_value = _rbf_side_grad(r[:, c], spec, k, other, n)
-            value = side_value if value is None else value
+            grad, value = _rbf_side_grad(r[:, c], spec, k, other, n)
             gcol[c] += grad
         elif need:
             gcol[c] += _gram_side_grad(r[:, c], spec, k, other, n)
