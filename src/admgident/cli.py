@@ -280,7 +280,7 @@ def survey(p: int, densities, reps: int, seed: int, workers: int = 1):
 
     Deterministic per seed regardless of worker count: every graph draws from
     a stream keyed by (density index, repetition), and results reduce in task
-    order.
+    order.  The pool holds at most one process per task and per usable CPU.
     """
     if reps < 1:
         return []
@@ -289,7 +289,9 @@ def survey(p: int, densities, reps: int, seed: int, workers: int = 1):
         for di, density in enumerate(densities)
         for i in range(reps)
     ]
-    if workers > 1 and len(tasks) > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(tasks), cpus)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flags = list(pool.map(_survey_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
@@ -330,7 +332,11 @@ def cmd_survey(args) -> int:
     if args.reps < 0:
         raise GraphFormatError(f"--reps must be >= 0, got {args.reps}")
     densities = _parse_densities(args.densities)
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError as exc:
+        raise GraphFormatError(f"{WORKERS_ENV} must be an integer, got {text!r:.40}") from exc
     rows = survey(args.p, densities, args.reps, args.seed, workers=workers)
     target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -396,7 +402,7 @@ def cmd_estimate(args) -> int:
         init = oracle.ParamMatrix(g, {e: float(rng.uniform(-1, 1)) for e in g.directed})
         kind = "random"
     result = estimate.fit(g, ds, kernels, init, init_kind=kind)
-    doc = json.loads(result.to_json())
+    doc = result.to_dict()
     if true_lam is not None:
         doc["loss"] = estimate.normalized_frobenius_loss(result.lam_hat, true_lam)
         doc["abs_errors"] = {

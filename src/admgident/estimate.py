@@ -79,6 +79,14 @@ def resolve_kernel(spec: KernelSpec, x: np.ndarray) -> KernelSpec:
     return spec
 
 
+def _bandwidth_sq(spec: KernelSpec) -> float:
+    """sigma**2, or inf where it overflows: the sigma -> inf limit, a constant Gram with zero gradient."""
+    try:
+        return spec.bandwidth**2
+    except OverflowError:
+        return math.inf
+
+
 def _gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.kind == POLYNOMIAL:
         return (np.outer(x, x) + spec.offset) ** spec.degree
@@ -87,7 +95,7 @@ def _gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     # so this is bit for bit exp(-(d**2) / (2 sigma^2))
     k = np.subtract.outer(x, x)
     np.square(k, out=k)
-    np.divide(k, -2.0 * spec.bandwidth**2, out=k)
+    np.divide(k, -2.0 * _bandwidth_sq(spec), out=k)
     return np.exp(k, out=k)
 
 
@@ -325,7 +333,7 @@ def _rbf_side_grad(x, spec, k, other_centered, n):
     # w = K * (HLH) overwrites k; its total is n^2 times the pair's HSIC
     w = np.multiply(k, other_centered, out=k)
     rows = w.sum(axis=1)
-    return (2.0 / (n**2 * spec.bandwidth**2)) * (w @ x - rows * x), float(rows.sum()) / n**2
+    return (2.0 / (n**2 * _bandwidth_sq(spec))) * (w @ x - rows * x), float(rows.sum()) / n**2
 
 
 def regression_init(g: MixedGraph, ds: Dataset) -> ParamMatrix:
@@ -379,8 +387,8 @@ class EstimateResult:
     init_kind: str
     final_objective: float
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "edges": {f"{u}->{v}": self.lam_hat.values.get((u, v), 0.0) for u, v in self.lam_hat.graph.directed},
             "final_objective": self.final_objective,
             "iterations": self.iterations,
@@ -388,7 +396,9 @@ class EstimateResult:
             "init": self.init_kind,
             "objective_trace": list(self.objective_trace),
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def fit(
@@ -451,22 +461,20 @@ def fit(
         lam = np.clip(vec / edge_scale, -opts.bound, opts.bound)
         return ParamMatrix(g, {edge: float(lam[i]) for i, edge in enumerate(edges)})
 
-    trace = [fun(x0)[0]]
-
     def record(intermediate_result):
         trace.append(intermediate_result.fun)
 
-    if not edges:
-        return EstimateResult(
-            lam_hat=ParamMatrix(g, {}),
-            objective_trace=tuple(trace),
-            iterations=0,
-            converged=True,
-            init_kind=init_kind,
-            final_objective=trace[0],
-        )
-
     try:
+        trace = [fun(x0)[0]]
+        if not edges:
+            return EstimateResult(
+                lam_hat=ParamMatrix(g, {}),
+                objective_trace=tuple(trace),
+                iterations=0,
+                converged=True,
+                init_kind=init_kind,
+                final_objective=trace[0],
+            )
         res = minimize(
             fun,
             x0,

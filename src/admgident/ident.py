@@ -57,51 +57,92 @@ class FlowNetwork:
     splits: tuple[tuple[str, str, str], ...] = field(default=())
 
 
-class _Column(NamedTuple):
-    """The part of column v's network that does not depend on q.
-
-    `head` holds the split arcs and the source arcs (removable order),
-    `tail` the directed-edge arcs (`g.directed` order); `_network` puts the
-    sink arcs of q between them.
-    """
-
-    anc: tuple[str, ...]
-    node_in: dict
-    removable: tuple[str, ...]
-    big_m: int
-    head: list
-    tail: list
-
-
-def _column(g: MixedGraph, v: str) -> _Column:
-    """Strict ancestors of v, their node index, and the arcs shared by every q."""
-    g._require(v)
-    anc = g.sort_vertices(g.ancestors(v) - {v})
-    node_in = {u: 2 * i + 2 for i, u in enumerate(anc)}
-    removable = g.sort_vertices(removable_ancestors(g, v))
-    big_m = g.num_vertices + 1
-    head = [(node_in[u], node_in[u] + 1, 1) for u in anc]
-    head += [(0, node_in[u], big_m) for u in removable]
-    tail = [(node_in[a] + 1, node_in[b], big_m) for a, b in g.directed if a in node_in and b in node_in]
-    return _Column(anc, node_in, removable, big_m, head, tail)
-
-
-def _network(g: MixedGraph, v: str, q, col: _Column | None = None):
-    """Strict ancestors of v and the integer arcs (tail, head, capacity) for q.
+class _Column:
+    """Column v's split-node network, built and solved for any parent subset q.
 
     Node 0 is the source, node 1 the sink, and nodes 2i + 2 and 2i + 3 the
-    in- and out-node of the i-th ancestor.  Arcs run split, source (removable
-    order), sink (q order), then directed edges (`g.directed` order); Dinic's
-    tie-breaks, and so the witness paths, follow this order.  `col` is
-    `_column(g, v)`, built here when not given.
+    in- and out-node of the i-th strict ancestor of v.  Arcs run `head` (split,
+    then source arcs in removable order), sink arcs (q order), then `tail`
+    (directed edges, `g.directed` order); Dinic's tie-breaks, and so the
+    witnesses, follow this order.
     """
-    g._require(v)
-    q = g.sort_vertices(q)
-    if not set(q) <= set(g.parents(v)):
-        raise NotAParentSubset(q, v)
-    col = col or _column(g, v)
-    node_in, big_m = col.node_in, col.big_m
-    return col.anc, col.head + [(node_in[u] + 1, 1, big_m) for u in q] + col.tail
+
+    def __init__(self, g: MixedGraph, v: str):
+        g._require(v)
+        self.g, self.v = g, v
+        self.anc = g.sort_vertices(g.ancestors(v) - {v})
+        self.n = 2 * len(self.anc) + 2
+        self.node_in = node_in = {u: 2 * i + 2 for i, u in enumerate(self.anc)}
+        self.removable = g.sort_vertices(removable_ancestors(g, v))
+        self.big_m = big_m = g.num_vertices + 1
+        self.head = [(node_in[u], node_in[u] + 1, 1) for u in self.anc]
+        self.head += [(0, node_in[u], big_m) for u in self.removable]
+        self.tail = [(node_in[a] + 1, node_in[b], big_m) for a, b in g.directed if a in node_in and b in node_in]
+
+    def arcs(self, q):
+        """q in declaration order and the integer arcs (tail, head, capacity) of its network."""
+        q = self.g.sort_vertices(q)
+        if not set(q) <= set(self.g.parents(self.v)):
+            raise NotAParentSubset(q, self.v)
+        return q, self.head + [(self.node_in[u] + 1, 1, self.big_m) for u in q] + self.tail
+
+    def solve(self, q) -> _SolvedColumn:
+        q, arcs = self.arcs(q)
+        solver = _Dinic(self.n, arcs)
+        return _SolvedColumn(self, q, arcs, solver, solver.max_flow(0, 1))
+
+    def rank(self, q, memo: dict) -> int:
+        """The max flow for q, memoised under the solver's complete input (node count, arcs)."""
+        key = (self.n, tuple(self.arcs(q)[1]))
+        if key not in memo:
+            memo[key] = _Dinic(*key).max_flow(0, 1)
+        return memo[key]
+
+    def named(self, arcs) -> FlowNetwork:
+        """The `FlowNetwork` of these integer arcs, with nodes named s, t, u.in, u.out."""
+        names = ["s", "t"] + [f"{u}.{side}" for u in self.anc for side in ("in", "out")]
+        arcs = tuple((names[a], names[b], c) for a, b, c in arcs)
+        splits = tuple((u, names[i], names[i + 1]) for u, i in self.node_in.items())
+        return FlowNetwork(tuple(names), arcs, names[0], names[1], splits)
+
+
+class _SolvedColumn(NamedTuple):
+    """A column network solved for q: its max flow and the residual graph behind it."""
+
+    column: _Column
+    q: tuple
+    arcs: list
+    solver: _Dinic
+    rank: int
+
+    @property
+    def flows(self) -> list:
+        """Flow on each arc, in arc order."""
+        return self.solver.cap[1::2]
+
+    def paths(self) -> tuple[tuple[str, ...], ...]:
+        """Walk the arcs that carry flow from the source to the sink."""
+        out_arcs = {}
+        for (a, b, _), f in zip(self.arcs, self.flows):
+            if f > 0:
+                out_arcs.setdefault(a, deque()).append(b)
+        paths = []
+        starts = out_arcs.get(0, deque())
+        while starts:
+            node = starts.popleft()
+            path = []
+            while node != 1:
+                if node % 2 == 0:
+                    path.append(self.column.anc[node // 2 - 1])
+                node = out_arcs[node].popleft()
+            paths.append(tuple(path))
+        return tuple(paths)
+
+    def coloop(self, u: str) -> bool:
+        """Whether u lies in every maximum path system into q (a coloop of the gammoid on q,
+        Mason 1972): its sink arc carries flow that no residual path reroutes to the sink."""
+        k = len(self.column.head) + self.q.index(u)
+        return self.solver.cap[2 * k + 1] > 0 and not self.solver.reroutes(k, 1)
 
 
 def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
@@ -112,19 +153,8 @@ def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
     removable ancestors, q drains into the sink, and the directed edges of g
     with both endpoints among the ancestors are kept.
     """
-    return _named(*_network(g, v, q))
-
-
-def _named(anc, arcs) -> FlowNetwork:
-    """The `FlowNetwork` of `_network`'s integer arcs, with nodes named s, t, u.in, u.out."""
-    names = ["s", "t"] + [f"{u}.{side}" for u in anc for side in ("in", "out")]
-    return FlowNetwork(
-        nodes=tuple(names),
-        arcs=tuple((names[a], names[b], c) for a, b, c in arcs),
-        source=names[0],
-        sink=names[1],
-        splits=tuple((u, names[2 * i + 2], names[2 * i + 3]) for i, u in enumerate(anc)),
-    )
+    col = _Column(g, v)
+    return col.named(col.arcs(q)[1])
 
 
 class _Dinic:
@@ -209,13 +239,6 @@ class _Dinic:
         return found
 
 
-def _solve(g: MixedGraph, v: str, q, col: _Column | None = None):
-    """Ancestors, arcs and solved `_Dinic` of the network for q, plus its max flow."""
-    anc, arcs = _network(g, v, q, col)
-    solver = _Dinic(2 * len(anc) + 2, arcs)
-    return anc, arcs, solver, solver.max_flow(0, 1)
-
-
 def max_flow(net: FlowNetwork) -> int:
     """Value of a maximum integral source-to-sink flow."""
     index = {u: i for i, u in enumerate(net.nodes)}
@@ -225,14 +248,13 @@ def max_flow(net: FlowNetwork) -> int:
 
 def solved_flow_network(g: MixedGraph, v: str, q):
     """`build_flow_network`, its max flow, per-arc flows in arc order and `witness_paths`, from one solve."""
-    anc, arcs, solver, value = _solve(g, v, q)
-    flows = solver.cap[1::2]
-    return _named(anc, arcs), value, flows, _paths(anc, arcs, flows)
+    solved = _Column(g, v).solve(q)
+    return solved.column.named(solved.arcs), solved.rank, solved.flows, solved.paths()
 
 
 def v_rank(g: MixedGraph, v: str, q) -> int:
     """Largest vertex-disjoint path system from the removable ancestors into q."""
-    return _solve(g, v, q)[3]
+    return _Column(g, v).solve(q).rank
 
 
 def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
@@ -244,27 +266,7 @@ def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
     along saturated arcs; ties follow declaration order.  There is one path
     per flow unit, so the number of paths is the v-rank of q.
     """
-    anc, arcs, solver, _ = _solve(g, v, q)
-    return _paths(anc, arcs, solver.cap[1::2])
-
-
-def _paths(anc, arcs, flows) -> tuple[tuple[str, ...], ...]:
-    """Walk the arcs of `_network` that carry flow from the source to the sink."""
-    out_arcs = {}
-    for (a, b, _), f in zip(arcs, flows):
-        if f > 0:
-            out_arcs.setdefault(a, deque()).append(b)
-    paths = []
-    starts = out_arcs.get(0, deque())
-    while starts:
-        node = starts.popleft()
-        path = []
-        while node != 1:
-            if node % 2 == 0:
-                path.append(anc[node // 2 - 1])
-            node = out_arcs[node].popleft()
-        paths.append(tuple(path))
-    return tuple(paths)
+    return _Column(g, v).solve(q).paths()
 
 
 def is_identifiable(g: MixedGraph, v: str, q) -> bool:
@@ -293,19 +295,8 @@ def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
         raise NotAParentSubset(q, v)
     if not set(k) <= pa:
         raise NotAParentSubset(k, v)
-    coloop = _coloop(*_solve(g, v, pa - set(k))[:3])
-    return all(coloop(u) for u in q if u not in k)
-
-
-def _coloop(anc, arcs, solver):
-    """The coloop test of a solved column network, as a function of a target u.
-
-    u lies in every maximum path system into q (a coloop of the gammoid on q,
-    Mason 1972) iff its sink arc carries flow that no residual path
-    reroutes to the sink.
-    """
-    sink_arc = {anc[a // 2 - 1]: k for k, (a, b, _) in enumerate(arcs) if b == 1}
-    return lambda u: solver.cap[2 * sink_arc[u] + 1] > 0 and not solver.reroutes(sink_arc[u], 1)
+    solved = _Column(g, v).solve(pa - set(k))
+    return all(solved.coloop(u) for u in q if u not in k)
 
 
 @dataclass(frozen=True)
@@ -354,7 +345,8 @@ def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
     decomposed into a vertex-disjoint path system, the certificate carried by
     identifiable columns.  An edge u -> v into a non-identifiable column is
     identifiable iff dropping u lowers that rank by exactly one, which
-    `_coloop` reads from the same residual graph, so no second solve is needed.
+    `_SolvedColumn.coloop` reads from the same residual graph without a
+    second solve.
     """
     if not is_acyclic(g):
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
@@ -362,18 +354,17 @@ def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
     verdicts = {}
     for v in g.vertices:
         pa = g.parents(v)
-        col = _column(g, v)
-        anc, arcs, solver, rank = _solve(g, v, pa, col)
-        ok = rank == len(pa)
+        col = _Column(g, v)
+        solved = col.solve(pa)
+        ok = solved.rank == len(pa)
         columns[v] = ColumnVerdict(
             removable=col.removable,
-            rank=rank,
+            rank=solved.rank,
             identifiable=ok,
-            witness=_paths(anc, arcs, solver.cap[1::2]) if ok else (),
+            witness=solved.paths() if ok else (),
         )
-        coloop = _coloop(anc, arcs, solver)
         for u in pa:
-            verdicts[u, v] = ok or coloop(u)
+            verdicts[u, v] = ok or solved.coloop(u)
     edges = {e: verdicts[e] for e in g.directed}
     return IdentReport(graph_id=graph_id, columns=columns, edges=edges)
 

@@ -24,7 +24,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .ident import _column, _Dinic, _network, removable_ancestors, v_rank
+from .ident import _Column, removable_ancestors, v_rank
 
 RANK_TOL = 1e-8
 DET_TOL = 1e-8
@@ -370,27 +370,20 @@ def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache
     Both caches are keyed by (removable, Q).  The enumeration rank depends
     only on that key and the directed part, the modal rank on that key and
     `b_stack`, so callers may share the caches across graphs that agree on
-    the directed part and the parameter draws.  `flows` maps a built network,
-    (node count, arcs), to its max flow: the key is the whole input of the
-    solver, so any graph may share it.  A substituted `v_rank_fn` is called
-    for every (v, Q) instead.
+    the directed part and the parameter draws.  `flows` is `_Column.rank`'s
+    memo, keyed by the built network (node count, arcs): the key is the whole
+    input of the solver, so any graph may share it.  A substituted
+    `v_rank_fn` is called for every (v, Q) instead.
     """
     mismatches = []
     for v in g.vertices:
-        col = _column(g, v)
+        col = _Column(g, v)
         removable = col.removable
         pa = g.parents(v)
         for size in range(len(pa) + 1):
             for q in combinations(pa, size):
                 key = (removable, q)
-                if v_rank_fn is not None:
-                    flow = v_rank_fn(g, v, q)
-                else:
-                    anc, arcs = _network(g, v, q, col)
-                    net = (2 * len(anc) + 2, tuple(arcs))
-                    if net not in flows:
-                        flows[net] = _Dinic(*net).max_flow(0, 1)
-                    flow = flows[net]
+                flow = col.rank(q, flows) if v_rank_fn is None else v_rank_fn(g, v, q)
                 if key not in enum_cache:
                     enum_cache[key] = _enum_rank(g, removable, q, ENUMERATION_CAP)
                 if key not in rank_cache:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import admgident
 from admgident import MixedGraph, graph_to_json, ident, random_admg, read_dataset, sample_errors, ErrorModel
+from admgident import cli
 from admgident.cli import _parse_densities, main, survey
 from admgident.errors import GraphFormatError
 from admgident.oracle import ParamMatrix
@@ -341,6 +342,54 @@ class TestSurvey:
         assert serial == parallel
         assert [row.density for row in serial] == [0.4, 0.7]
 
+    @staticmethod
+    def _fake_pool(monkeypatch, cpus):
+        """Record each pool's size and run it in this process; `cpus` usable CPUs."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return sizes
+
+    @pytest.mark.parametrize("value, cpus, sizes", [
+        ("1000000", 2, [2]), ("1000000", 64, [6]), ("4", 64, [4]), ("2", 2, [2]),
+        ("1", 64, []), ("0", 64, []), ("-3", 64, []),
+    ])
+    def test_pool_capped_at_tasks_and_cpus(self, value, cpus, sizes, monkeypatch, capsys):
+        # 2 densities x 3 reps = 6 tasks; values <= 1 run serially, without a pool.
+        args = ["survey", "--p", "4", "--densities", "0.4:0.5:0.1", "--reps", "3", "--seed", "3"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        made = self._fake_pool(monkeypatch, cpus)
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        assert main(args) == 0
+        assert capsys.readouterr().out == serial
+        assert made == sizes
+
+    @pytest.mark.parametrize(
+        "value", ["abc", "1.5", "", "2 workers", "1" + "0" * 5000], ids=["abc", "1.5", "empty", "words", "5001-digits"]
+    )
+    def test_malformed_worker_count_exit_2(self, value, monkeypatch, capsys):
+        made = self._fake_pool(monkeypatch, 64)
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        assert main(["survey", "--p", "4", "--densities", "0.5:0.5:0.1", "--reps", "2"]) == 2
+        assert cli.WORKERS_ENV in capsys.readouterr().err
+        assert made == []
+
     @pytest.mark.parametrize(
         "text",
         ["0.1:0.9:0", "0.1:0.9:-0.1", "0.1:inf:0.1", "-inf:0.9:0.1", "0:1:1e-300", "0.9:0.1:0.1", "1e20:1e20:1"],
@@ -404,6 +453,22 @@ class TestSimulate:
 
 
 class TestEstimate:
+    def test_stdout_matches_stored_digest(self, tmp_path, capsys):
+        # Seeded fits with both kernels, with and without --true-params; recorded
+        # when the CLI built its document by parsing the result's own JSON back.
+        digest = hashlib.sha256()
+        for i, g in enumerate((iv_graph(), confounded_diamond())):
+            path = tmp_path / f"g{i}.json"
+            path.write_text(graph_to_json(g))
+            graph, params, data = str(path), str(tmp_path / f"p{i}.json"), str(tmp_path / f"d{i}.csv")
+            main(["simulate", graph, "--n", "120", "--seed", str(i), "--params-out", params, "--data-out", data])
+            capsys.readouterr()
+            for kernel in ("poly2", "rbf"):
+                for extra in ([], ["--true-params", params]):
+                    code = main(["estimate", graph, data, "--kernel", kernel, *extra])
+                    digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == "d9056b134a27d509b0bec32670e7229202fb8405b1af21f1ba8d55d242268510"
+
     def test_end_to_end_with_loss(self, iv_file, tmp_path, capsys):
         params = tmp_path / "params.json"
         data = tmp_path / "data.csv"

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from admgident import (
 from admgident.errors import (
     BindingMismatch,
     LengthMismatch,
+    NonFiniteObjective,
     RankDeficientParents,
     ZeroTrueMatrix,
 )
@@ -215,6 +217,18 @@ class TestHsic:
             got = _gram(x, rbf_kernel(sigma))
         assert got.tobytes() == k.tobytes()
         assert (got == 1.0).sum() >= x.size + 4 and (sigma > 5.0 or (got == 0.0).any())
+
+    @pytest.mark.parametrize("sigma", [1.5e154, 1e200, sys.float_info.max])
+    def test_rbf_bandwidth_whose_square_overflows_gives_the_infinite_limit(self, sigma):
+        # sigma**2 overflows past about 1.34e154; at 1e154, where 2 sigma^2 is already
+        # infinite, the Gram is constant, and the HSIC and its gradient are zero.
+        rng = np.random.default_rng(18)
+        x, y = rng.laplace(size=40), rng.laplace(size=40)
+        spec, limit = rbf_kernel(sigma), rbf_kernel(1e154)
+        assert _gram(x, spec).tobytes() == _gram(x, limit).tobytes() == np.ones((40, 40)).tobytes()
+        assert hsic_biased(x, y, spec, spec) == hsic_biased(x, y, limit, limit) == 0.0
+        value, gx, gy = _hsic_grads_gram(x, y, spec, spec, True, True)
+        assert value == 0.0 and not gx.any() and not gy.any()
 
 
 class TestObjective:
@@ -544,6 +558,16 @@ class TestFit:
         res = fit(g, data, polynomial_kernel(2, 1.0), regression_init(g, data), FitOptions(bound=0.1))
         assert all(abs(v) <= 0.1 for v in res.lam_hat.values.values())
         assert res.lam_hat.get("v1", "v2") == 0.1
+
+    @pytest.mark.parametrize("kernel", [rbf_kernel(), polynomial_kernel()])
+    def test_unstandardized_fit_on_huge_data_is_a_package_error(self, kernel):
+        # Squared differences of cells near 1e160 overflow, and so does the median
+        # bandwidth's square; the objective is non-finite from the start.
+        g = iv_graph()
+        data = generate_data(g, sample_parameters(g, seed=1), sample_errors(g, ErrorModel(kind=LAPLACE), 50, seed=1))
+        data = Dataset(data.columns, data.values * 1e160, data.provenance)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteObjective):
+            fit(g, data, kernel, regression_init(g, data), FitOptions(standardize=False))
 
     def test_no_edges_graph(self):
         g = MixedGraph(["a", "b"], [], [])

@@ -30,6 +30,7 @@ from admgident import (
 from admgident import ident
 from admgident.errors import CyclicGraph, NotAParentSubset, NotCycleDecomposable
 from admgident.ident import FlowNetwork
+from admgident.oracle import ENUMERATION_CAP, _enum_rank, all_bidirected_sets, all_dags
 from figures import (
     confounded_diamond,
     confounded_feedback,
@@ -161,20 +162,18 @@ class TestColumnTemplate:
                         targets = [q for k in range(len(pa) + 1) for q in combinations(pa, k)]
                     else:
                         targets = [pa] + [tuple(w for w in pa if w != u) for u in pa]
-                    col = ident._column(g, v)
+                    col = ident._Column(g, v)
                     assert col.removable == g.sort_vertices(removable_ancestors(g, v))
                     for q in targets:
-                        # combinations follow pa order; the builders sort q themselves
+                        # combinations follow pa order; the builder sorts q itself
                         q = q[::-1]
-                        expected = _network_one_piece(g, v, q)
-                        assert ident._network(g, v, q) == expected
-                        assert ident._network(g, v, q, col) == expected
+                        assert (col.anc, col.arcs(q)[1]) == _network_one_piece(g, v, q)
         assert cyclic_graphs
 
     def test_template_keeps_the_parent_subset_check(self):
         g = confounded_diamond()
         with pytest.raises(NotAParentSubset):
-            ident._network(g, "v4", ["v1"], ident._column(g, "v4"))
+            ident._Column(g, "v4").arcs(["v1"])
 
 
 class TestVRank:
@@ -318,6 +317,17 @@ class TestKnowledgeCriterion:
         )
 
 
+def _assert_path_system(g, paths, sources, targets, v):
+    """`paths` are vertex-disjoint directed paths from `sources` onto `targets`, avoiding v."""
+    used = set()
+    for path in paths:
+        assert path[0] in sources and path[-1] in targets and v not in path
+        assert all(e in g.directed for e in zip(path, path[1:]))
+        assert not used & set(path) and len(set(path)) == len(path)
+        used |= set(path)
+    assert sorted(path[-1] for path in paths) == sorted(targets)
+
+
 class TestMatrixReport:
     def test_diamond_report(self):
         report = is_matrix_identifiable(confounded_diamond())
@@ -385,6 +395,40 @@ class TestMatrixReport:
                     assert col.rank == len(col.witness) == len(g.parents(v))
                 else:
                     assert col.witness == ()
+
+    def test_every_report_up_to_four_vertices_agrees_with_enumeration(self):
+        # All 34,959 graphs of verify's exhaustive sweep.  Ranks come from
+        # path-system enumeration, cached per DAG under (removable, Q) as verify does.
+        graphs = columns = edges = 0
+        for p in range(1, 5):
+            vs = [f"v{i + 1}" for i in range(p)]
+            for dag in all_dags(p):
+                directed = [(vs[a], vs[b]) for a, b in dag]
+                ranks = {}
+
+                def rank(g, removable, q):
+                    if (removable, q) not in ranks:
+                        ranks[removable, q] = _enum_rank(g, removable, q, ENUMERATION_CAP)
+                    return ranks[removable, q]
+
+                for bid in all_bidirected_sets(p):
+                    g = MixedGraph(vs, directed, [(vs[a], vs[b]) for a, b in bid])
+                    report = is_matrix_identifiable(g)
+                    for v, col in report.columns.items():
+                        pa = g.parents(v)
+                        assert col.removable == g.sort_vertices(removable_ancestors(g, v))
+                        assert col.rank == rank(g, col.removable, pa)
+                        assert col.identifiable == (col.rank == len(pa))
+                        for u in pa:
+                            drop = rank(g, col.removable, tuple(w for w in pa if w != u))
+                            assert report.edges[u, v] == (drop == col.rank - 1), (g, u, v)
+                            edges += 1
+                        if col.identifiable:
+                            _assert_path_system(g, col.witness, col.removable, pa, v)
+                        assert len(col.witness) == (col.rank if col.identifiable else 0)
+                        columns += 1
+                    graphs += 1
+        assert (graphs, columns, edges) == (34_959, 139_621, 129_412)
 
     def test_one_max_flow_solve_per_column(self, monkeypatch):
         solves = []
