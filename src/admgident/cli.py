@@ -155,7 +155,7 @@ def cmd_check(args) -> int:
             doc["known"] = sorted(known)
         _emit(args, _render(args, doc, lambda d: f"{d['edge']}: {'identifiable' if d['identifiable'] else 'not identifiable'}\n"))
         return 0
-    report = ident.is_matrix_identifiable(g, graph_id=os.path.basename(args.graph))
+    report = ident.is_matrix_identifiable(g)
     _emit(args, _render(args, report.to_dict(), lambda doc: _human_report(doc, g)))
     return 0
 

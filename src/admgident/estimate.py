@@ -9,7 +9,6 @@ clamped to |coefficient| <= bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -340,7 +339,8 @@ def regression_init(g: MixedGraph, ds: Dataset) -> ParamMatrix:
     """Per-vertex least squares of X_v on its parent columns, centered."""
     if ds.columns != g.vertices:
         raise BindingMismatch("dataset columns must match the graph vertices")
-    x = ds.values - ds.values.mean(axis=0)
+    with np.errstate(over="ignore"):  # the finite check reports an overflow
+        x = ds.values - ds.values.mean(axis=0)
     if not np.all(np.isfinite(x)):
         raise BindingMismatch("centring the data overflows: values too large for float arithmetic")
     values = {}
@@ -359,9 +359,14 @@ def regression_init(g: MixedGraph, ds: Dataset) -> ParamMatrix:
     return ParamMatrix(g, values)
 
 
+# L-BFGS-B iteration cap and projected-gradient tolerance
+_MAX_ITER = 500
+_GRAD_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer knobs: iteration cap, gradient tolerance, coefficient box.
+    """Optimizer knobs: coefficient box and column standardisation.
 
     With `standardize` set (the default) the optimizer works on columns
     scaled to unit variance and maps the coefficients back into the box;
@@ -370,8 +375,6 @@ class FitOptions:
     data whose column variances span orders of magnitude.
     """
 
-    max_iter: int = 500
-    grad_tol: float = 1e-6
     bound: float = 50.0
     standardize: bool = True
 
@@ -396,9 +399,6 @@ class EstimateResult:
             "init": self.init_kind,
             "objective_trace": list(self.objective_trace),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def fit(
@@ -483,9 +483,9 @@ def fit(
             bounds=bounds,
             callback=record,
             options={
-                "maxiter": opts.max_iter,
+                "maxiter": _MAX_ITER,
                 "maxcor": 10,
-                "gtol": opts.grad_tol,
+                "gtol": _GRAD_TOL,
                 "ftol": 1e-14,
             },
         )
@@ -501,36 +501,6 @@ def fit(
         init_kind=init_kind,
         final_objective=float(res.fun),
     )
-
-
-def fit_multistart(
-    g: MixedGraph,
-    ds: Dataset,
-    kernels,
-    base_init: ParamMatrix,
-    m: int = 4,
-    seed: int = 0,
-    opts: FitOptions | None = None,
-    init_kind: str = "custom",
-) -> EstimateResult:
-    """Best of the base start plus m perturbed restarts, by final objective.
-
-    The objective is non-convex, so single starts can settle in side basins;
-    restarts are drawn around the base init with a spread that grows with the
-    coefficient magnitude.
-    """
-    best = fit(g, ds, kernels, base_init, opts, init_kind=init_kind)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
-    for _ in range(m):
-        values = {
-            e: base_init.values.get(e, 0.0)
-            + rng.normal(0.0, 1.0 + 0.5 * abs(base_init.values.get(e, 0.0)))
-            for e in g.directed
-        }
-        res = fit(g, ds, kernels, ParamMatrix(g, values), opts, init_kind=init_kind)
-        if res.final_objective < best.final_objective:
-            best = res
-    return best
 
 
 class _NonFinite(Exception):

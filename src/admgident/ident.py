@@ -311,7 +311,6 @@ class ColumnVerdict:
 class IdentReport:
     """Per-column and per-edge identifiability verdicts with flow witnesses."""
 
-    graph_id: str
     columns: dict
     edges: dict
 
@@ -337,7 +336,7 @@ class IdentReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
+def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
     """Full report: column verdicts, single-edge verdicts, and path witnesses.
 
     A column is identifiable iff its v-rank reaches |pa(v)|; the whole matrix
@@ -366,7 +365,7 @@ def is_matrix_identifiable(g: MixedGraph, graph_id: str = "") -> IdentReport:
         for u in pa:
             verdicts[u, v] = ok or solved.coloop(u)
     edges = {e: verdicts[e] for e in g.directed}
-    return IdentReport(graph_id=graph_id, columns=columns, edges=edges)
+    return IdentReport(columns=columns, edges=edges)
 
 
 def _column_full_rank(g: MixedGraph, v: str) -> bool:
@@ -405,6 +404,9 @@ def cycle_decomposition_identifiable(g: MixedGraph) -> bool:
     """
     if g.bidirected:
         raise NotCycleDecomposable("bidirected edges present")
+    # Decide only once every component has passed, so the verdict does not
+    # depend on the order in which the vertices were declared.
+    flippable = False
     seen = set()
     for v in g.vertices:
         if v in seen:
@@ -427,9 +429,8 @@ def cycle_decomposition_identifiable(g: MixedGraph) -> bool:
                 )
         if len(comp) == 2:
             a, b = comp
-            if set(g.parents(a)) - members == set(g.parents(b)) - members:
-                return False
-    return True
+            flippable |= set(g.parents(a)) - members == set(g.parents(b)) - members
+    return not flippable
 
 
 def genericity_sufficient(l) -> dict:

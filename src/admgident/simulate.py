@@ -21,7 +21,6 @@ from .errors import (
     DegenerateParameters,
     GraphFormatError,
     InvalidDensity,
-    InvalidFactorGraph,
     UnsupportedOrder,
 )
 from .oracle import ParamMatrix, path_matrix
@@ -40,8 +39,11 @@ _K_FACTOR_WEIGHT = 10
 
 LAPLACE = "shared-latent-laplace"
 UNIFORM = "shared-latent-uniform"
-FACTOR = "factor-model"
-_KINDS = (LAPLACE, UNIFORM, FACTOR)
+_KINDS = (LAPLACE, UNIFORM)
+
+# error standard deviations and shared-latent weights are drawn uniform on these
+_SCALE_RANGE = (0.2, 3.0)
+_WEIGHT_RANGE = (-5.0, 5.0)
 
 
 def _stream(seed: int, *key) -> np.random.Generator:
@@ -77,29 +79,20 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """How to sample the error vector: shared-latent recipe or factor model.
+    """How to sample the error vector: the Laplace or uniform shared-latent recipe.
 
-    The shared-latent kinds draw one idiosyncratic term per vertex plus two
-    shared latents per bidirected edge, each entering both endpoints with its
-    own uniform weight.  Scales are standard deviations; the Laplace scale
-    parameter is sd/sqrt(2) and the centered-uniform half-width sd*sqrt(3),
-    so second moments match across kinds.
+    Both kinds draw one idiosyncratic term per vertex plus two shared latents
+    per bidirected edge, each entering both endpoints with its own uniform
+    weight.  Scales are standard deviations; the Laplace scale parameter is
+    sd/sqrt(2) and the centered-uniform half-width sd*sqrt(3), so second
+    moments match across kinds.
     """
 
     kind: str = LAPLACE
-    scale_range: tuple = (0.2, 3.0)
-    weight_range: tuple = (-5.0, 5.0)
-    factor_graph: object = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown error model kind {self.kind!r}")
-        lo, hi = self.scale_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("scale range must lie in (0, inf)")
-        lo, hi = self.weight_range
-        if not (lo < 0.0 < hi) or lo != -hi:
-            raise ValueError("weight range must be symmetric about 0")
 
 
 def _laplace_draw(rng: np.random.Generator, sd: float, n: int) -> np.ndarray:
@@ -166,34 +159,24 @@ def sample_parameters(g: MixedGraph, seed: int) -> ParamMatrix:
 def sample_errors(g: MixedGraph, model: ErrorModel, n: int, seed: int) -> Dataset:
     """Error samples following the bidirected structure of g.
 
-    Shared-latent kinds: eps_v = eta_v + sum over edges u<->v of
-    w1 * eta1_uv + w2 * eta2_uv with per-endpoint weights; the factor-model
-    kind delegates to sample_factor_errors.
+    eps_v = eta_v + sum over edges u<->v of w1 * eta1_uv + w2 * eta2_uv with
+    per-endpoint weights.  Factor models sample with sample_factor_errors.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if model.kind == FACTOR:
-        if model.factor_graph is None:
-            raise InvalidFactorGraph("factor-model kind requires a factor graph")
-        if tuple(model.factor_graph.observed) != g.vertices:
-            raise BindingMismatch("factor graph observed vertices must match the graph")
-        return sample_factor_errors(model.factor_graph, n, seed)
-
     draw = _laplace_draw if model.kind == LAPLACE else _uniform_draw
-    s_lo, s_hi = model.scale_range
-    w_lo, w_hi = model.weight_range
     eps = np.zeros((n, g.num_vertices))
     for v in g.vertices:
         iv = g.index(v)
-        sd = float(_stream(seed, _K_SCALE, iv).uniform(s_lo, s_hi))
+        sd = float(_stream(seed, _K_SCALE, iv).uniform(*_SCALE_RANGE))
         eps[:, iv] = draw(_stream(seed, _K_IDIO, iv), sd, n)
     for u, w in g.bidirected:
         iu, iw = g.index(u), g.index(w)
-        sd1, sd2 = _stream(seed, _K_EDGE_SCALE, iu, iw).uniform(s_lo, s_hi, 2)
+        sd1, sd2 = _stream(seed, _K_EDGE_SCALE, iu, iw).uniform(*_SCALE_RANGE, 2)
         eta1 = draw(_stream(seed, _K_EDGE_NOISE, iu, iw, 1), float(sd1), n)
         eta2 = draw(_stream(seed, _K_EDGE_NOISE, iu, iw, 2), float(sd2), n)
         for endpoint in (iu, iw):
-            w1, w2 = _stream(seed, _K_EDGE_WEIGHT, iu, iw, endpoint).uniform(w_lo, w_hi, 2)
+            w1, w2 = _stream(seed, _K_EDGE_WEIGHT, iu, iw, endpoint).uniform(*_WEIGHT_RANGE, 2)
             eps[:, endpoint] += w1 * eta1 + w2 * eta2
     return Dataset(
         columns=g.vertices,
@@ -223,16 +206,16 @@ def sample_factor_errors(l, n: int, seed: int) -> Dataset:
             weights[(lat, v)] = l.weights[(lat, v)]
         else:
             rng = _stream(seed, _K_FACTOR_WEIGHT, lat_index[lat], obs_index[v])
-            weights[(lat, v)] = float(rng.uniform(-5.0, 5.0))
+            weights[(lat, v)] = float(rng.uniform(*_WEIGHT_RANGE))
 
     eps = np.zeros((n, len(l.observed)))
     for v in l.observed:
         iv = obs_index[v]
-        sd = float(_stream(seed, _K_FACTOR_SCALE, 0, iv).uniform(0.2, 3.0))
+        sd = float(_stream(seed, _K_FACTOR_SCALE, 0, iv).uniform(*_SCALE_RANGE))
         eps[:, iv] = _laplace_draw(_stream(seed, _K_FACTOR_NOISE, 0, iv), sd, n)
     for lat in l.latents:
         il = lat_index[lat]
-        sd = float(_stream(seed, _K_FACTOR_SCALE, 1, il).uniform(0.2, 3.0))
+        sd = float(_stream(seed, _K_FACTOR_SCALE, 1, il).uniform(*_SCALE_RANGE))
         eta = _laplace_draw(_stream(seed, _K_FACTOR_NOISE, 1, il), sd, n)
         for v in l.children_of(lat):
             eps[:, obs_index[v]] += weights[(lat, v)] * eta

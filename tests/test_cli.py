@@ -16,7 +16,7 @@ from admgident import cli
 from admgident.cli import _parse_densities, main, survey
 from admgident.errors import GraphFormatError
 from admgident.oracle import ParamMatrix
-from figures import JSON_VALUES, confounded_diamond, iv_graph, two_cycle
+from figures import JSON_VALUES, confounded_diamond, confounded_feedback, iv_graph, two_cycle
 
 
 @pytest.fixture
@@ -125,6 +125,42 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["acyclic"] is False
         assert doc["all_pass"] is True
+
+    @pytest.mark.parametrize(
+        "graph, verdict, error",
+        [
+            (confounded_feedback(), "not identifiable (necessary condition fails)", "bidirected edges present"),
+            (
+                MixedGraph(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")]),
+                "necessary-only: no certificate",
+                "component ['c'] is not a directed cycle",
+            ),
+        ],
+    )
+    def test_cyclic_graph_without_a_cycle_decomposition(self, graph, verdict, error, tmp_path, capsys):
+        path = tmp_path / "cycle.json"
+        path.write_text(graph_to_json(graph))
+        assert main(["check", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        necessary = ident.cyclic_necessary_condition(graph)
+        assert doc == {
+            "acyclic": False,
+            "necessary_condition": necessary,
+            "all_pass": all(necessary.values()),
+            "mode": "necessary-only",
+            "cycle_decomposition_error": error,
+            "verdict": verdict,
+        }
+        assert main(["check", str(path), "--human"]) == 0
+        lines = [f"  necessary at {v}: {'pass' if ok else 'FAIL'}" for v, ok in necessary.items()]
+        assert capsys.readouterr().out == "\n".join(["mode: necessary-only", f"verdict: {verdict}", *lines]) + "\n"
+
+    @pytest.mark.parametrize("edge, code", [("v2", 2), ("v1,v2,v4", 2), ("v1,v4", 3)])
+    def test_malformed_or_non_edge_exit_code(self, edge, code, diamond_file, capsys):
+        assert main(["check", diamond_file, "--edge", edge]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("graph", ["diamond", "two_cycle"])
     @pytest.mark.parametrize("cyclic", [[], ["--cyclic"]])
@@ -292,6 +328,18 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mismatches"] == 0
         assert doc["graphs"] == 207
+
+    def test_mismatches_exit_1_with_a_dump(self, monkeypatch, capsys):
+        # A flow engine that overstates every rank with a sink arc, as in test_oracle's TestVerifySweep.
+        solve = ident._Dinic.max_flow
+        monkeypatch.setattr(ident._Dinic, "max_flow", lambda self, s, t: solve(self, s, t) + bool(self.adj[t]))
+        assert main(["verify", "--max-vertices", "2"]) == 1
+        out = capsys.readouterr().out
+        summary, end = json.JSONDecoder().raw_decode(out)
+        assert summary == {"graphs": 7, "checks": 17, "mismatches": 4}
+        dump = json.loads(out[end:])
+        assert len(dump) == 4
+        assert all(m["q"] and m["flow"] == m["enumeration"] + 1 for m in dump)
 
     def test_cap_enforced(self, capsys):
         assert main(["verify", "--max-vertices", "7"]) == 2
@@ -543,12 +591,19 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert captured.out == "" and "samples" in captured.err
 
-    def test_data_too_large_to_centre_exit_3(self, iv_file, tmp_path, capsys):
+    def test_data_too_large_to_centre_exit_3(self, iv_file, tmp_path):
         # Each cell is finite, but their column sum overflows, so the centred data would hold inf.
+        # A fresh interpreter shows what a user sees: numpy's warnings go to stderr there.
         data = tmp_path / "data.csv"
         data.write_text("v1,v2,v3\n8.988465674311579e+307,0.0,0.0\n8.98846567431158e+307,0.0,0.0\n")
-        assert main(["estimate", iv_file, str(data)]) == 3
-        assert "centring the data overflows" in capsys.readouterr().err
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(admgident.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-m", "admgident", "estimate", iv_file, str(data)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == "error: centring the data overflows: values too large for float arithmetic\n"
 
     def test_huge_cells_fit_like_unscaled_data(self, iv_file, tmp_path, capsys):
         # Squares of cells near 1e155 overflow, but independence is scale-free.

@@ -34,7 +34,6 @@ from admgident.errors import (
 )
 from admgident.estimate import (
     FitOptions,
-    fit_multistart,
     median_bandwidth,
     polynomial_kernel,
     rbf_kernel,
@@ -716,15 +715,6 @@ class TestFit:
         for c in roots:
             assert layout.fixed[c].tobytes() == _center(_gram(x[:, c], kernels[g.vertices[c]])).tobytes()
         assert self.evaluation_peak(layout, lam.dense()) <= 5.1 * 8 * n**2
-
-    def test_multistart_never_worse(self):
-        g = double_confounder()
-        lam = sample_parameters(g, seed=16)
-        data = generate_data(g, lam, sample_errors(g, ErrorModel(), 600, seed=16))
-        init = regression_init(g, data)
-        single = fit(g, data, polynomial_kernel(2, 1.0), init, init_kind="regression")
-        multi = fit_multistart(g, data, polynomial_kernel(2, 1.0), init, m=3, seed=0)
-        assert multi.final_objective <= single.final_objective
 
     def test_binding_mismatch(self):
         g = iv_graph()

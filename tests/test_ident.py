@@ -498,6 +498,21 @@ class TestCyclicChecks:
     def test_two_cycle_passes_necessary_condition(self):
         assert all(cyclic_necessary_condition(two_cycle()).values())
 
+    def test_seeded_cyclic_graphs_agree_with_enumeration(self):
+        # The flow route on cyclic input against the path-system enumeration,
+        # on the cyclic graphs of the cycle-decomposition digest.
+        digest = hashlib.sha256()
+        failing = 0
+        for _, g in _cyclic_graphs(3000):
+            necessary = cyclic_necessary_condition(g)
+            for v in g.vertices:
+                pa = g.parents(v)
+                assert necessary[v] == (brute_force_v_rank(g, v, pa) == len(pa)), (g, v)
+            failing += not all(necessary.values())
+            digest.update(("".join("1" if necessary[v] else "0" for v in g.vertices) + "\n").encode())
+        assert failing == 137
+        assert digest.hexdigest() == "0b28d40f6ac16359929dd0bfa379ef1d79e9db678913100481499d626b93118e"
+
     def test_dag_matches_column_verdicts(self):
         for seed in range(20):
             g = random_admg(4, 0.6, seed)
@@ -540,19 +555,33 @@ def _cyclic_graph(seed: int) -> MixedGraph:
     return MixedGraph(vs, sorted(directed), bidirected)
 
 
+def _cyclic_graphs(count: int):
+    """(seed, graph) for the first `count` cyclic graphs among the `_cyclic_graph` seeds."""
+    seed = 0
+    while count:
+        g = _cyclic_graph(seed)
+        if not is_acyclic(g):
+            count -= 1
+            yield seed, g
+        seed += 1
+
+
+def _cycle_verdict(g: MixedGraph):
+    try:
+        return cycle_decomposition_identifiable(g)
+    except NotCycleDecomposable:
+        return None
+
+
 class TestCycleDecomposition:
     def test_seeded_cyclic_graphs_match_stored_digest(self):
         # Verdicts and NotCycleDecomposable messages of the first 3,000 cyclic
-        # graphs, recorded when components came from a Kosaraju pass; the
-        # messages list each component's members, so order and membership count.
+        # graphs; the messages list each component's members, so order and
+        # membership count.  A graph that does not decompose raises even when
+        # a flippable 2-cycle comes before the failing component.
         digest = hashlib.sha256()
         kinds = Counter()
-        seed = 0
-        while sum(kinds.values()) < 3000:
-            g = _cyclic_graph(seed)
-            seed += 1
-            if is_acyclic(g):
-                continue
+        for seed, g in _cyclic_graphs(3000):
             try:
                 out = str(cycle_decomposition_identifiable(g))
                 kinds[out] += 1
@@ -560,9 +589,19 @@ class TestCycleDecomposition:
                 out = f"NotCycleDecomposable: {exc}"
                 kinds[next(w for w in ("bidirected", "simple", "directed") if w in str(exc))] += 1
             digest.update((out + "\n").encode())
-        assert seed == 3725
-        assert kinds == {"True": 276, "False": 763, "bidirected": 449, "simple": 704, "directed": 808}
-        assert digest.hexdigest() == "1a967b65435fd894ead2c1040fb28e31d593738a86c7b84d20803c9237b20fe0"
+        assert seed + 1 == 3725
+        assert kinds == {"True": 276, "False": 457, "bidirected": 449, "simple": 705, "directed": 1113}
+        assert digest.hexdigest() == "52f8f2b8aaa40f89c3ce34ebe0ef4cf45fc19d8ded420807f18129a365f6da2c"
+
+    def test_verdict_does_not_depend_on_vertex_order(self):
+        # Every rotation of the declaration order and of its reverse; on these
+        # graphs that finds every order dependence all permutations find.
+        for _, g in _cyclic_graphs(1000):
+            verdict = _cycle_verdict(g)
+            for order in (list(g.vertices), list(reversed(g.vertices))):
+                for i in range(len(order)):
+                    h = MixedGraph(order[i:] + order[:i], g.directed, g.bidirected)
+                    assert _cycle_verdict(h) == verdict, (g, order[i:] + order[:i])
 
     def test_two_cycle_not_identifiable(self):
         assert not cycle_decomposition_identifiable(two_cycle())
@@ -592,9 +631,12 @@ class TestCycleDecomposition:
             cycle_decomposition_identifiable(confounded_feedback())
 
     def test_singleton_component_not_decomposable(self):
-        g = MixedGraph(["a", "x", "y"], [("a", "x"), ("x", "y"), ("y", "x")])
-        with pytest.raises(NotCycleDecomposable):
-            cycle_decomposition_identifiable(g)
+        # The last two declare the flippable 2-cycle x <-> y before and after the singleton.
+        graphs = [MixedGraph(["a", "x", "y"], [("a", "x"), ("x", "y"), ("y", "x")])]
+        graphs += [MixedGraph(order, [("x", "y"), ("y", "x"), ("y", "a")]) for order in (["x", "y", "a"], ["a", "x", "y"])]
+        for g in graphs:
+            with pytest.raises(NotCycleDecomposable, match=r"component \['a'\] is not a directed cycle"):
+                cycle_decomposition_identifiable(g)
 
     def test_chorded_component_not_a_simple_cycle(self):
         vs = ["a", "b", "c", "d"]

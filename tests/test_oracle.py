@@ -140,6 +140,17 @@ class TestGvl:
             det, path_sum = gvl_check(g, lam, ["v1", "v2"], ["v3", "v4"])
             assert abs(det - path_sum) <= 1e-8 * (1 + abs(det))
 
+    def test_odd_permutation_enters_with_a_minus_sign(self):
+        # K_{2,2}: one system keeps the column order, the other swaps it, so
+        # det = ac * bd - ad * bc = 0.125 + 3.0.
+        g = MixedGraph(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+        lam = ParamMatrix(g, {("a", "c"): 0.5, ("a", "d"): 2.0, ("b", "c"): -1.5, ("b", "d"): 0.25})
+        ends = sorted(tuple(path[-1] for path in system) for system in enumerate_path_systems(g, ["a", "b"], ["c", "d"]))
+        assert ends == [("c", "d"), ("d", "c")]
+        det, path_sum = gvl_check(g, lam, ["a", "b"], ["c", "d"])
+        assert path_sum == 3.125
+        assert det == pytest.approx(3.125, abs=1e-12)
+
     def test_empty_system_means_zero_determinant(self):
         g = half_identifiable_collider()
         lam = generic_parameters(g, np.random.default_rng(3))
