@@ -46,7 +46,7 @@ from admgident.estimate import (
 )
 from admgident import estimate
 from admgident.simulate import LAPLACE
-from figures import confounded_diamond, double_confounder, iv_graph
+from figures import confounded_diamond, iv_graph
 
 
 def hsic_trace_reference(x, y, kx, ky):
