@@ -27,7 +27,7 @@ from .errors import (
 )
 
 def removable_ancestors(g: MixedGraph, v: str) -> frozenset:
-    """Ancestors u of v (u != v) that have a sibling outside Sib(v)."""
+    """Ancestors u of v (u != v) whose closed sibling set {u} | sib(u) is not contained in {v} | sib(v)."""
     g._require(v)
     sib_v = set(g.siblings(v)) | {v}
     out = set()
@@ -64,16 +64,15 @@ class _Column:
     in- and out-node of the i-th strict ancestor of v.  Arcs run `head` (split,
     then source arcs in removable order), sink arcs (q order), then `tail`
     (directed edges, `g.directed` order); Dinic's tie-breaks, and so the
-    witnesses, follow this order.
+    witnesses, follow this order.  The caller passes `removable`, sorted.
     """
 
-    def __init__(self, g: MixedGraph, v: str):
-        g._require(v)
+    def __init__(self, g: MixedGraph, v: str, removable: tuple):
         self.g, self.v = g, v
         self.anc = g.sort_vertices(g.ancestors(v) - {v})
         self.n = 2 * len(self.anc) + 2
         self.node_in = node_in = {u: 2 * i + 2 for i, u in enumerate(self.anc)}
-        self.removable = g.sort_vertices(removable_ancestors(g, v))
+        self.removable = removable
         self.big_m = big_m = g.num_vertices + 1
         self.head = [(node_in[u], node_in[u] + 1, 1) for u in self.anc]
         self.head += [(0, node_in[u], big_m) for u in self.removable]
@@ -153,7 +152,7 @@ def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
     removable ancestors, q drains into the sink, and the directed edges of g
     with both endpoints among the ancestors are kept.
     """
-    col = _Column(g, v)
+    col = _Column(g, v, g.sort_vertices(removable_ancestors(g, v)))
     return col.named(col.arcs(q)[1])
 
 
@@ -248,13 +247,13 @@ def max_flow(net: FlowNetwork) -> int:
 
 def solved_flow_network(g: MixedGraph, v: str, q):
     """`build_flow_network`, its max flow, per-arc flows in arc order and `witness_paths`, from one solve."""
-    solved = _Column(g, v).solve(q)
+    solved = _Column(g, v, g.sort_vertices(removable_ancestors(g, v))).solve(q)
     return solved.column.named(solved.arcs), solved.rank, solved.flows, solved.paths()
 
 
 def v_rank(g: MixedGraph, v: str, q) -> int:
     """Largest vertex-disjoint path system from the removable ancestors into q."""
-    return _Column(g, v).solve(q).rank
+    return _Column(g, v, g.sort_vertices(removable_ancestors(g, v))).solve(q).rank
 
 
 def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
@@ -266,7 +265,7 @@ def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
     along saturated arcs; ties follow declaration order.  There is one path
     per flow unit, so the number of paths is the v-rank of q.
     """
-    return _Column(g, v).solve(q).paths()
+    return _Column(g, v, g.sort_vertices(removable_ancestors(g, v))).solve(q).paths()
 
 
 def is_identifiable(g: MixedGraph, v: str, q) -> bool:
@@ -295,7 +294,7 @@ def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
         raise NotAParentSubset(q, v)
     if not set(k) <= pa:
         raise NotAParentSubset(k, v)
-    solved = _Column(g, v).solve(pa - set(k))
+    solved = _Column(g, v, g.sort_vertices(removable_ancestors(g, v))).solve(pa - set(k))
     return all(solved.coloop(u) for u in q if u not in k)
 
 
@@ -340,8 +339,10 @@ def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
     """Full report: column verdicts, single-edge verdicts, and path witnesses.
 
     A column is identifiable iff its v-rank reaches |pa(v)|; the whole matrix
-    iff every column is.  One maximum flow per column gives both the rank and,
-    decomposed into a vertex-disjoint path system, the certificate carried by
+    iff every column is.  A column with pa(v) inside removable(v) needs no
+    network: its parents are the trivial paths that certify it.  Any other
+    column takes one maximum flow, which gives both the rank and, decomposed
+    into a vertex-disjoint path system, the certificate carried by
     identifiable columns.  An edge u -> v into a non-identifiable column is
     identifiable iff dropping u lowers that rank by exactly one, which
     `_SolvedColumn.coloop` reads from the same residual graph without a
@@ -353,11 +354,15 @@ def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
     verdicts = {}
     for v in g.vertices:
         pa = g.parents(v)
-        col = _Column(g, v)
-        solved = col.solve(pa)
+        removable = g.sort_vertices(removable_ancestors(g, v))
+        if _full_rank_by_sizes(pa, removable):
+            columns[v] = ColumnVerdict(removable, len(pa), True, tuple((u,) for u in pa))
+            verdicts.update(((u, v), True) for u in pa)
+            continue
+        solved = _Column(g, v, removable).solve(pa)
         ok = solved.rank == len(pa)
         columns[v] = ColumnVerdict(
-            removable=col.removable,
+            removable=removable,
             rank=solved.rank,
             identifiable=ok,
             witness=solved.paths() if ok else (),
@@ -368,10 +373,21 @@ def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
     return IdentReport(columns=columns, edges=edges)
 
 
+def _full_rank_by_sizes(pa, removable):
+    """Whether the v-rank of pa reaches |pa| where the sets alone decide it, else None.  Yes when
+    pa lies inside removable: the parents are |pa| disjoint trivial paths, the ones Dinic's first phase
+    finds, in pa order.  No when |pa| > |removable|: each path starts at its own removable vertex."""
+    if set(pa) <= set(removable):
+        return True
+    return False if len(pa) > len(removable) else None
+
+
 def _column_full_rank(g: MixedGraph, v: str) -> bool:
-    """Whether the v-rank of pa(v) reaches |pa(v)|; parentless columns pass unsolved."""
+    """Whether the v-rank of pa(v) reaches |pa(v)|: by `_full_rank_by_sizes`, else by one solve."""
     pa = g.parents(v)
-    return not pa or v_rank(g, v, pa) == len(pa)
+    removable = g.sort_vertices(removable_ancestors(g, v))
+    full = _full_rank_by_sizes(pa, removable)
+    return full if full is not None else _Column(g, v, removable).solve(pa).rank == len(pa)
 
 
 def matrix_generically_identifiable(g: MixedGraph) -> bool:

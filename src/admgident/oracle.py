@@ -377,8 +377,8 @@ def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache
     """
     mismatches = []
     for v in g.vertices:
-        col = _Column(g, v)
-        removable = col.removable
+        removable = g.sort_vertices(removable_ancestors(g, v))
+        col = _Column(g, v, removable)
         pa = g.parents(v)
         for size in range(len(pa) + 1):
             for q in combinations(pa, size):

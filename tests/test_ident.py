@@ -13,6 +13,7 @@ from admgident import (
     MixedGraph,
     brute_force_v_rank,
     build_flow_network,
+    causal_order,
     is_acyclic,
     cycle_decomposition_identifiable,
     cyclic_necessary_condition,
@@ -29,7 +30,7 @@ from admgident import (
 )
 from admgident import ident
 from admgident.errors import CyclicGraph, NotAParentSubset, NotCycleDecomposable
-from admgident.ident import FlowNetwork
+from admgident.ident import ColumnVerdict, FlowNetwork
 from admgident.oracle import ENUMERATION_CAP, _enum_rank, all_bidirected_sets, all_dags
 from figures import (
     confounded_diamond,
@@ -162,8 +163,7 @@ class TestColumnTemplate:
                         targets = [q for k in range(len(pa) + 1) for q in combinations(pa, k)]
                     else:
                         targets = [pa] + [tuple(w for w in pa if w != u) for u in pa]
-                    col = ident._Column(g, v)
-                    assert col.removable == g.sort_vertices(removable_ancestors(g, v))
+                    col = ident._Column(g, v, g.sort_vertices(removable_ancestors(g, v)))
                     for q in targets:
                         # combinations follow pa order; the builder sorts q itself
                         q = q[::-1]
@@ -173,7 +173,7 @@ class TestColumnTemplate:
     def test_template_keeps_the_parent_subset_check(self):
         g = confounded_diamond()
         with pytest.raises(NotAParentSubset):
-            ident._Column(g, "v4").arcs(["v1"])
+            ident._Column(g, "v4", ("v1", "v2")).arcs(["v1"])
 
 
 class TestVRank:
@@ -328,6 +328,54 @@ def _assert_path_system(g, paths, sources, targets, v):
     assert sorted(path[-1] for path in paths) == sorted(targets)
 
 
+DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+MERSENNE_61 = 2**61 - 1
+
+
+def _rank_mod(rows, prime: int) -> int:
+    """Rank over the integers mod `prime`, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], -1, prime)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inverse % prime
+            if f:
+                rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _modular_v_ranks(g: MixedGraph, rng: random.Random) -> dict:
+    """Each column's rank of the (removable x pa) block of the path matrix, at edge
+    weights drawn uniformly mod 2^61 - 1.
+
+    By Lindstrom-Gessel-Viennot a minor of the path matrix sums the vertex-disjoint
+    path systems between its rows and columns, distinct monomials in the weights,
+    so the generic rank of the block is the v-rank of pa(v); by Schwartz-Zippel a
+    random draw drops a nonzero minor with probability at most its degree / 2^61.
+    """
+    weight = {e: rng.randrange(MERSENNE_61) for e in g.directed}
+    into = {}  # into[w][i]: summed weight of the directed paths from vertex i to w
+    for w in causal_order(g):
+        row = [0] * g.num_vertices
+        row[g.index(w)] = 1
+        for u in g.parents(w):
+            lam = weight[u, w]
+            row = [(a + lam * b) % MERSENNE_61 for a, b in zip(row, into[u])]
+        into[w] = row
+    ranks = {}
+    for v in g.vertices:
+        sources = [g.index(u) for u in removable_ancestors(g, v)]
+        block = [[into[w][i] for w in g.parents(v)] for i in sources]
+        ranks[v] = _rank_mod(block, MERSENNE_61)
+    return ranks
+
+
 class TestMatrixReport:
     def test_diamond_report(self):
         report = is_matrix_identifiable(confounded_diamond())
@@ -431,6 +479,8 @@ class TestMatrixReport:
         assert (graphs, columns, edges) == (34_959, 139_621, 129_412)
 
     def test_one_max_flow_solve_per_column(self, monkeypatch):
+        # A column with pa(v) inside removable(v) is decided without a network;
+        # every other column, |pa(v)| > |removable(v)| included, takes one solve.
         solves = []
         solve = ident._Dinic.max_flow
 
@@ -440,14 +490,62 @@ class TestMatrixReport:
 
         monkeypatch.setattr(ident._Dinic, "max_flow", counting_solve)
         graphs_with_a_failing_column = 0
+        classes = Counter()
         for density in (0.3, 0.6, 0.9):
             for seed in range(10):
                 g = random_admg(6, density, seed)
                 solves.clear()
                 report = is_matrix_identifiable(g)
                 graphs_with_a_failing_column += not report.all_identifiable
-                assert len(solves) == g.num_vertices
+                outside = 0
+                for v in g.vertices:
+                    pa, removable = set(g.parents(v)), removable_ancestors(g, v)
+                    inside = pa <= removable
+                    outside += not inside
+                    classes["inside" if inside else "too many" if len(pa) > len(removable) else "flow"] += 1
+                assert len(solves) == outside
         assert graphs_with_a_failing_column  # edges into failing columns are decided too
+        assert set(classes) == {"inside", "too many", "flow"}, classes
+
+    def test_set_size_rule_agrees_with_a_forced_solve(self):
+        # The report decides a column with pa(v) inside removable(v) without a
+        # network, and the survey also fails |pa(v)| > |removable(v)| unsolved.
+        # Here every column is solved as well, and both must agree.
+        rule = Counter()
+        for density in DENSITIES:
+            for seed in range(10):
+                g = random_admg(25, density, seed)
+                report = is_matrix_identifiable(g)
+                forced = {}
+                for v, col in report.columns.items():
+                    pa = g.parents(v)
+                    removable = g.sort_vertices(removable_ancestors(g, v))
+                    solved = ident._Column(g, v, removable).solve(pa)
+                    ok = forced[v] = solved.rank == len(pa)
+                    assert col == ColumnVerdict(removable, solved.rank, ok, solved.paths() if ok else ()), (g, v)
+                    for u in pa:
+                        assert report.edges[u, v] == (ok or solved.coloop(u)), (g, u, v)
+                    rule["inside" if set(pa) <= set(removable) else "too many" if len(pa) > len(removable) else "flow"] += 1
+                assert matrix_generically_identifiable(g) == all(forced.values())
+                assert cyclic_necessary_condition(g) == forced
+        assert set(rule) == {"inside", "too many", "flow"}, rule
+        for _, g in _cyclic_graphs(3000):
+            forced = {v: v_rank(g, v, g.parents(v)) == len(g.parents(v)) for v in g.vertices}
+            assert cyclic_necessary_condition(g) == forced, g
+
+    @pytest.mark.parametrize("p", [12, 25])
+    def test_rank_equals_path_matrix_rank_mod_a_prime(self, p):
+        # A third rank oracle, exact up to a Schwartz-Zippel miss, on both routes.
+        rng = random.Random(p)
+        routes = Counter()
+        for density in DENSITIES:
+            for seed in range(10):
+                g = random_admg(p, density, seed)
+                ranks = _modular_v_ranks(g, rng)
+                for v, col in is_matrix_identifiable(g).columns.items():
+                    assert col.rank == ranks[v], (g, v)
+                    routes[set(g.parents(v)) <= set(col.removable)] += 1
+        assert routes[True] and routes[False], routes
 
     def test_reports_match_stored_digest(self):
         # SHA-256 of the concatenated reports, recorded when each edge verdict
