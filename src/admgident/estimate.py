@@ -354,6 +354,8 @@ def regression_init(g: MixedGraph, ds: Dataset) -> ParamMatrix:
         coef, _, rank, _ = np.linalg.lstsq(xp, x[:, g.index(v)], rcond=None)
         if rank < len(pa):
             raise RankDeficientParents(f"parent columns of {v!r} are collinear")
+        if not np.all(np.isfinite(coef)):
+            raise BindingMismatch(f"regression coefficients of {v!r} overflow: values too far apart for float arithmetic")
         for u, b in zip(pa, coef):
             values[(u, v)] = float(b)
     return ParamMatrix(g, values)
@@ -428,20 +430,25 @@ def fit(
     if opts.standardize:
         # std of each column scaled into [0.5, 1) by a power of two, scaled back:
         # exact, and no square overflows however large the cells are
-        _, exponent = np.frexp(np.abs(ds.values).max(axis=0, initial=0.0))
+        top = np.abs(ds.values).max(axis=0, initial=0.0)
+        _, exponent = np.frexp(top)
         sd = np.ldexp(np.ldexp(ds.values, -exponent).std(axis=0), exponent)
-        sd[sd == 0.0] = 1.0
-        # lam_std[u, v] = lam[u, v] * sd_u / sd_v, an exact reparameterization
-        edge_scale = np.array([sd[g.index(u)] / sd[g.index(v)] for u, v in edges])
+        # a constant column is scaled to +-1 instead, and an all-zero one by 1
+        sd = np.where(sd > 0.0, sd, np.where(top > 0.0, top, 1.0))
+        # lam_std[u, v] = lam[u, v] * sd_u / sd_v, an exact reparameterization;
+        # a scale or box past the float range is inf, which bounds nothing
+        with np.errstate(over="ignore"):
+            edge_scale = np.array([sd[g.index(u)] / sd[g.index(v)] for u, v in edges])
+            init = ParamMatrix(
+                g, {(u, v): x * sd[g.index(u)] / sd[g.index(v)] for (u, v), x in init.values.items()}
+            )
+            bounds = [(-opts.bound * s, opts.bound * s) for s in edge_scale]
         ds = Dataset(ds.columns, ds.values / sd, ds.provenance)
-        init = ParamMatrix(
-            g, {(u, v): x * sd[g.index(u)] / sd[g.index(v)] for (u, v), x in init.values.items()}
-        )
     else:
         edge_scale = np.ones(len(edges))
+        bounds = [(-opts.bound, opts.bound)] * len(edges)
 
     layout = _Layout(g, _resolved(g, kernels, ds, init), ds.values)
-    bounds = [(-opts.bound * s, opts.bound * s) for s in edge_scale]
     x0 = np.array([init.values.get(edge, 0.0) for edge in edges])
     x0 = np.clip(x0, [b[0] for b in bounds], [b[1] for b in bounds]) if len(edges) else x0
 
@@ -457,8 +464,10 @@ def fit(
         return value, grad
 
     def unscale(vec: np.ndarray) -> ParamMatrix:
-        # a coefficient on a standardised bound can round past the box on the way back
-        lam = np.clip(vec / edge_scale, -opts.bound, opts.bound)
+        # a coefficient on a standardised bound can round past the box on the way back;
+        # a scale that underflowed to 0 pins its edge at 0, which stays 0
+        lam = np.divide(vec, edge_scale, out=np.zeros(len(vec)), where=edge_scale != 0)
+        lam = np.clip(lam, -opts.bound, opts.bound)
         return ParamMatrix(g, {edge: float(lam[i]) for i, edge in enumerate(edges)})
 
     def record(intermediate_result):

@@ -605,6 +605,34 @@ class TestEstimate:
         assert done.stdout == ""
         assert done.stderr == "error: centring the data overflows: values too large for float arithmetic\n"
 
+    def test_regression_slope_that_overflows_exit_3(self, iv_file, tmp_path, capsys):
+        # v2 over v1 rises by about 4e126 / 2e-182: a finite dataset whose least-squares slope is -inf.
+        data = tmp_path / "data.csv"
+        data.write_text("v1,v2,v3\n0.0,3.958390609249566e+126,0.0\n2.201927866600401e-182,0.0,0.0\n")
+        assert main(["estimate", iv_file, str(data)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: regression coefficients of 'v2' overflow: values too far apart for float arithmetic\n"
+
+    def test_standardised_box_past_the_float_range_fits(self, iv_file, tmp_path, capsys):
+        # sd(v2) / sd(v3) is about 3.6e306, so 50 times it, the v2->v3 box in standardised
+        # coordinates, is past the float range: no bound there, and the fit stays in the box.
+        data = tmp_path / "data.csv"
+        data.write_text("v1,v2,v3\n0.0,7.190772539449264e+306,0.0\n1.0,0.0,0.0\n")
+        assert main(["estimate", iv_file, str(data)]) == 0
+        edges = json.loads(capsys.readouterr().out)["edges"]
+        assert edges == {"v1->v2": -50.0, "v2->v3": 0.0}
+
+    @pytest.mark.parametrize("cell", ["1.0", "9.480751908109177e+153", "1e+307"])
+    def test_constant_column_of_any_size_fits_alike(self, iv_file, tmp_path, capsys, cell):
+        # A constant v3 is scaled to 1, so powers of its huge cells never overflow the features.
+        data = tmp_path / "data.csv"
+        data.write_text(f"v1,v2,v3\n0.0,1.0,{cell}\n1.0,0.0,{cell}\n")
+        assert main(["estimate", iv_file, str(data)]) == 0
+        edges = json.loads(capsys.readouterr().out)["edges"]
+        assert edges["v1->v2"] == pytest.approx(-1.0)
+        assert edges["v2->v3"] == 0.0
+
     def test_huge_cells_fit_like_unscaled_data(self, iv_file, tmp_path, capsys):
         # Squares of cells near 1e155 overflow, but independence is scale-free.
         values = np.random.default_rng(3).normal(size=(20, 3))
