@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,6 +27,12 @@ class MixedGraph:
     unordered; they are stored canonically with the lower-index endpoint
     first.  Self-loops are rejected in both edge sets, and every edge
     endpoint must be a declared vertex.
+
+    Genealogy runs on integer masks whose bit i is the i-th declared vertex,
+    so bit order is declaration order.  Vertex i has a parent mask `_pa[i]`,
+    a child mask `_ch[i]` and a closed sibling mask `_csib[i]` (i and its
+    siblings); its ancestor and descendant masks are closures over `_pa` and
+    `_ch`, each computed once on first use.
     """
 
     def __init__(self, vertices, directed=(), bidirected=()):
@@ -40,55 +45,40 @@ class MixedGraph:
         self.vertices = vertices
         self._index = {v: i for i, v in enumerate(vertices)}
 
-        directed_set = set()
+        p = len(vertices)
+        self._pa, self._ch, self._csib = [0] * p, [0] * p, [1 << i for i in range(p)]
         for u, v in directed:
-            u, v = str(u), str(v)
-            self._require(u)
-            self._require(v)
-            if u == v:
-                raise SelfLoop(u)
-            directed_set.add((u, v))
-        self.directed = tuple(
-            sorted(directed_set, key=lambda e: (self._index[e[0]], self._index[e[1]]))
-        )
-
-        bidirected_set = set()
+            a, b = self._edge(u, v)
+            self._ch[a] |= 1 << b
+            self._pa[b] |= 1 << a
         for u, v in bidirected:
-            u, v = str(u), str(v)
-            self._require(u)
-            self._require(v)
-            if u == v:
-                raise SelfLoop(u)
-            if self._index[u] > self._index[v]:
-                u, v = v, u
-            bidirected_set.add((u, v))
+            a, b = self._edge(u, v)
+            self._csib[a] |= 1 << b
+            self._csib[b] |= 1 << a
+        # The edge tuples read the masks in declaration order; -(2 << i) keeps the bits above i.
+        self.directed = tuple((u, w) for u, ch in zip(vertices, self._ch) for w in self._names(ch))
         self.bidirected = tuple(
-            sorted(bidirected_set, key=lambda e: (self._index[e[0]], self._index[e[1]]))
+            (u, w) for i, (u, sib) in enumerate(zip(vertices, self._csib)) for w in self._names(sib & -(2 << i))
         )
-
-        self._parents = {v: [] for v in vertices}
-        self._children = {v: [] for v in vertices}
-        for u, v in self.directed:
-            self._children[u].append(v)
-            self._parents[v].append(u)
-        self._siblings = {v: [] for v in vertices}
-        for u, v in self.bidirected:
-            self._siblings[u].append(v)
-            self._siblings[v].append(u)
-        for v in vertices:
-            self._siblings[v].sort(key=self._index.__getitem__)
-        # Ancestors and descendants per vertex, filled on first use; the graph never changes.
-        self._an = {}
-        self._de = {}
+        # Closures and the sets read off them, filled on first use; the graph never changes.
+        self._an_masks, self._de_masks = [0] * p, [0] * p
+        self._an, self._de, self._removable = {}, {}, {}
 
     # -- basic accessors -------------------------------------------------
 
-    def _require(self, v: str) -> None:
-        if v not in self._index:
-            raise UnknownVertex(v)
+    def _edge(self, u, v) -> tuple[int, int]:
+        """Index pair of the edge (u, v); unknown endpoints and self-loops are rejected."""
+        try:
+            a, b = self._index[str(u)], self._index[str(v)]
+        except KeyError as exc:
+            raise UnknownVertex(exc.args[0]) from None
+        if a == b:
+            raise SelfLoop(str(u))
+        return a, b
 
     def index(self, v: str) -> int:
-        self._require(v)
+        if v not in self._index:
+            raise UnknownVertex(v)
         return self._index[v]
 
     @property
@@ -96,47 +86,82 @@ class MixedGraph:
         return len(self.vertices)
 
     def parents(self, v: str) -> tuple[str, ...]:
-        self._require(v)
-        return tuple(self._parents[v])
+        return self._names(self._pa[self.index(v)])
 
     def children(self, v: str) -> tuple[str, ...]:
-        self._require(v)
-        return tuple(self._children[v])
+        return self._names(self._ch[self.index(v)])
 
     def siblings(self, v: str) -> tuple[str, ...]:
-        self._require(v)
-        return tuple(self._siblings[v])
+        i = self.index(v)
+        return self._names(self._csib[i] & ~(1 << i))
 
     def ancestors(self, v: str) -> frozenset:
         """All u with a directed path u -> ... -> v; contains v (trivial path)."""
         if v not in self._an:
-            self._require(v)
-            self._an[v] = self._reach(v, self._parents)
+            self._an[v] = frozenset(self._names(self._an_mask(self.index(v))))
         return self._an[v]
 
     def descendants(self, v: str) -> frozenset:
         """All u with a directed path v -> ... -> u; contains v (trivial path)."""
         if v not in self._de:
-            self._require(v)
-            self._de[v] = self._reach(v, self._children)
+            self._de[v] = frozenset(self._names(self._de_mask(self.index(v))))
         return self._de[v]
 
-    def _reach(self, start: str, step: dict) -> frozenset:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            for w in step[queue.popleft()]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return frozenset(seen)
+    def removable(self, v: str) -> tuple[str, ...]:
+        """Strict ancestors u of v whose closed sibling set {u} | sib(u) is not inside v's, in declaration order."""
+        if v not in self._removable:
+            self._removable[v] = self._removable_of(self.index(v))
+        return self._removable[v]
+
+    def _removable_of(self, i: int) -> tuple[str, ...]:
+        strict, closed = self._an_mask(i) & ~(1 << i), self._csib[i]
+        # Only an ancestor inside v's closed sibling set can have its own inside it too.
+        inside = strict & closed
+        while inside:
+            low = inside & -inside
+            inside ^= low
+            if not self._csib[low.bit_length() - 1] & ~closed:
+                strict ^= low
+        return self._names(strict)
+
+    def _an_mask(self, i: int) -> int:
+        return self._an_masks[i] or self._closure(i, self._pa, self._an_masks)
+
+    def _de_mask(self, i: int) -> int:
+        return self._de_masks[i] or self._closure(i, self._ch, self._de_masks)
+
+    @staticmethod
+    def _closure(i: int, step: list, memo: list) -> int:
+        """Mask of everything reachable from vertex i by `step` masks, i included; stored in `memo[i]`.
+
+        A closure already in `memo` (0 means unknown) joins whole, unexpanded: exact on cyclic
+        graphs too, as every closure is closed under `step`."""
+        seen = todo = 1 << i
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            j = low.bit_length() - 1
+            if memo[j]:
+                seen |= memo[j]
+            else:
+                new = step[j] & ~seen
+                seen |= new
+                todo |= new
+        memo[i] = seen
+        return seen
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        """The vertices whose bits are set in `mask`, in declaration order."""
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(self.vertices[low.bit_length() - 1])
+            mask ^= low
+        return tuple(names)
 
     def sort_vertices(self, vs) -> tuple[str, ...]:
         """Canonical tuple of a vertex collection, ordered by declaration."""
-        vs = set(vs)
-        for v in vs:
-            self._require(v)
-        return tuple(sorted(vs, key=self._index.__getitem__))
+        return self._names(sum({1 << self.index(v) for v in vs}))
 
     def __eq__(self, other) -> bool:
         return (
@@ -170,7 +195,7 @@ class Relations:
 
 def is_acyclic(g: MixedGraph) -> bool:
     """True iff the directed part has no non-trivial directed cycle: no edge u -> v with v in an(u)."""
-    return not any(v in g.ancestors(u) for u, v in g.directed)
+    return not any(g._an_mask(i) & ch for i, ch in enumerate(g._ch))
 
 
 def causal_order(g: MixedGraph) -> tuple[str, ...]:
@@ -201,7 +226,6 @@ def relations(g: MixedGraph, v: str) -> Relations:
     Ancestor/descendant sets are computed by reachability and therefore also
     make sense on cyclic graphs.
     """
-    g._require(v)
     sib = frozenset(g.siblings(v))
     return Relations(
         pa=frozenset(g.parents(v)),
@@ -215,13 +239,12 @@ def relations(g: MixedGraph, v: str) -> Relations:
 
 def bidirected_connected_components(g: MixedGraph) -> tuple[frozenset, ...]:
     """Partition of V into connected components of the bidirected part."""
-    seen = set()
-    components = []
-    for v in g.vertices:
-        if v not in seen:
-            comp = g._reach(v, g._siblings)
+    seen, components, memo = 0, [], [0] * g.num_vertices
+    for i in range(g.num_vertices):
+        if not seen >> i & 1:
+            comp = g._closure(i, g._csib, memo)
             seen |= comp
-            components.append(comp)
+            components.append(frozenset(g._names(comp)))
     return tuple(components)
 
 

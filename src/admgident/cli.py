@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -66,6 +67,7 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="admgident")
     sub = parser.add_subparsers(dest="command", required=True)

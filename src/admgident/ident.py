@@ -27,17 +27,10 @@ from .errors import (
 )
 
 def removable_ancestors(g: MixedGraph, v: str) -> frozenset:
-    """Ancestors u of v (u != v) whose closed sibling set {u} | sib(u) is not contained in {v} | sib(v)."""
-    g._require(v)
-    sib_v = set(g.siblings(v)) | {v}
-    out = set()
-    for u in g.ancestors(v):
-        if u == v:
-            continue
-        sib_u = set(g.siblings(u)) | {u}
-        if sib_u - sib_v:
-            out.add(u)
-    return frozenset(out)
+    """Ancestors u of v (u != v) whose closed sibling set {u} | sib(u) is not contained in {v} | sib(v).
+
+    The set form of the cached tuple `MixedGraph.removable`, which the engine reads."""
+    return frozenset(g.removable(v))
 
 
 @dataclass(frozen=True)
@@ -61,18 +54,18 @@ class _Column:
     """Column v's split-node network, built and solved for any parent subset q.
 
     Node 0 is the source, node 1 the sink, and nodes 2i + 2 and 2i + 3 the
-    in- and out-node of the i-th strict ancestor of v.  Arcs run `head` (split,
-    then source arcs in removable order), sink arcs (q order), then `tail`
-    (directed edges, `g.directed` order); Dinic's tie-breaks, and so the
-    witnesses, follow this order.  The caller passes `removable`, sorted.
+    in- and out-node of the i-th strict ancestor of v, in ancestor-mask bit
+    order.  Arcs run `head` (split, then source arcs in `g.removable(v)`
+    order), sink arcs (q order), then `tail` (directed edges, `g.directed`
+    order); Dinic's tie-breaks, and so the witnesses, follow this order.
     """
 
-    def __init__(self, g: MixedGraph, v: str, removable: tuple):
-        self.g, self.v = g, v
-        self.anc = g.sort_vertices(g.ancestors(v) - {v})
+    def __init__(self, g: MixedGraph, v: str):
+        self.g, self.v, self.i = g, v, g.index(v)
+        self.anc = g._names(g._an_mask(self.i) & ~(1 << self.i))
         self.n = 2 * len(self.anc) + 2
         self.node_in = node_in = {u: 2 * i + 2 for i, u in enumerate(self.anc)}
-        self.removable = removable
+        self.removable = g.removable(v)
         self.big_m = big_m = g.num_vertices + 1
         self.head = [(node_in[u], node_in[u] + 1, 1) for u in self.anc]
         self.head += [(0, node_in[u], big_m) for u in self.removable]
@@ -80,8 +73,11 @@ class _Column:
 
     def arcs(self, q):
         """q in declaration order and the integer arcs (tail, head, capacity) of its network."""
-        q = self.g.sort_vertices(q)
-        if not set(q) <= set(self.g.parents(self.v)):
+        mask = 0
+        for u in q:
+            mask |= 1 << self.g.index(u)
+        q = self.g._names(mask)
+        if mask & ~self.g._pa[self.i]:
             raise NotAParentSubset(q, self.v)
         return q, self.head + [(self.node_in[u] + 1, 1, self.big_m) for u in q] + self.tail
 
@@ -152,7 +148,7 @@ def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
     removable ancestors, q drains into the sink, and the directed edges of g
     with both endpoints among the ancestors are kept.
     """
-    col = _Column(g, v, g.sort_vertices(removable_ancestors(g, v)))
+    col = _Column(g, v)
     return col.named(col.arcs(q)[1])
 
 
@@ -247,13 +243,13 @@ def max_flow(net: FlowNetwork) -> int:
 
 def solved_flow_network(g: MixedGraph, v: str, q):
     """`build_flow_network`, its max flow, per-arc flows in arc order and `witness_paths`, from one solve."""
-    solved = _Column(g, v, g.sort_vertices(removable_ancestors(g, v))).solve(q)
+    solved = _Column(g, v).solve(q)
     return solved.column.named(solved.arcs), solved.rank, solved.flows, solved.paths()
 
 
 def v_rank(g: MixedGraph, v: str, q) -> int:
     """Largest vertex-disjoint path system from the removable ancestors into q."""
-    return _Column(g, v, g.sort_vertices(removable_ancestors(g, v))).solve(q).rank
+    return _Column(g, v).solve(q).rank
 
 
 def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
@@ -265,7 +261,7 @@ def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
     along saturated arcs; ties follow declaration order.  There is one path
     per flow unit, so the number of paths is the v-rank of q.
     """
-    return _Column(g, v, g.sort_vertices(removable_ancestors(g, v))).solve(q).paths()
+    return _Column(g, v).solve(q).paths()
 
 
 def is_identifiable(g: MixedGraph, v: str, q) -> bool:
@@ -294,7 +290,7 @@ def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
         raise NotAParentSubset(q, v)
     if not set(k) <= pa:
         raise NotAParentSubset(k, v)
-    solved = _Column(g, v, g.sort_vertices(removable_ancestors(g, v))).solve(pa - set(k))
+    solved = _Column(g, v).solve(pa - set(k))
     return all(solved.coloop(u) for u in q if u not in k)
 
 
@@ -354,12 +350,12 @@ def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
     verdicts = {}
     for v in g.vertices:
         pa = g.parents(v)
-        removable = g.sort_vertices(removable_ancestors(g, v))
+        removable = g.removable(v)
         if _full_rank_by_sizes(pa, removable):
             columns[v] = ColumnVerdict(removable, len(pa), True, tuple((u,) for u in pa))
             verdicts.update(((u, v), True) for u in pa)
             continue
-        solved = _Column(g, v, removable).solve(pa)
+        solved = _Column(g, v).solve(pa)
         ok = solved.rank == len(pa)
         columns[v] = ColumnVerdict(
             removable=removable,
@@ -385,9 +381,8 @@ def _full_rank_by_sizes(pa, removable):
 def _column_full_rank(g: MixedGraph, v: str) -> bool:
     """Whether the v-rank of pa(v) reaches |pa(v)|: by `_full_rank_by_sizes`, else by one solve."""
     pa = g.parents(v)
-    removable = g.sort_vertices(removable_ancestors(g, v))
-    full = _full_rank_by_sizes(pa, removable)
-    return full if full is not None else _Column(g, v, removable).solve(pa).rank == len(pa)
+    full = _full_rank_by_sizes(pa, g.removable(v))
+    return full if full is not None else _Column(g, v).solve(pa).rank == len(pa)
 
 
 def matrix_generically_identifiable(g: MixedGraph) -> bool:
@@ -424,12 +419,12 @@ def cycle_decomposition_identifiable(g: MixedGraph) -> bool:
     # depend on the order in which the vertices were declared.
     flippable = False
     seen = set()
-    for v in g.vertices:
+    for i, v in enumerate(g.vertices):
         if v in seen:
             continue
         # The first unseen vertex opens its strongly connected component, so
         # components come in the declaration order of their first members.
-        comp = g.sort_vertices(g.ancestors(v) & g.descendants(v))
+        comp = g._names(g._an_mask(i) & g._de_mask(i))
         members = set(comp)
         seen |= members
         if len(comp) < 2:

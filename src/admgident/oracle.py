@@ -24,7 +24,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .ident import _Column, removable_ancestors, v_rank
+from .ident import _Column, v_rank
 
 RANK_TOL = 1e-8
 DET_TOL = 1e-8
@@ -161,8 +161,7 @@ def brute_force_v_rank(g: MixedGraph, v: str, q, cap: int = ENUMERATION_CAP) -> 
     Exhaustive over subset pairs, largest size first; independent of the flow
     engine.
     """
-    removable = g.sort_vertices(removable_ancestors(g, v))
-    return _enum_rank(g, removable, g.sort_vertices(q), cap)
+    return _enum_rank(g, g.removable(v), g.sort_vertices(q), cap)
 
 
 def _enum_rank(g: MixedGraph, removable, q, cap: int) -> int:
@@ -259,7 +258,7 @@ def system_matrix(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> np.ndar
     parents pa(v) minus pinned; entry (u, w) sums path monomials u -> w.
     """
     free = [w for w in g.parents(v) if w not in set(pinned)]
-    removable = g.sort_vertices(removable_ancestors(g, v))
+    removable = g.removable(v)
     b = path_matrix(lam)
     if not free or not removable:
         return np.zeros((len(removable), len(free)))
@@ -291,9 +290,8 @@ def fiber_dimension_modal(g: MixedGraph, v: str, pinned=(), seed: int = 0, draws
         raise CyclicGraph("fiber dimension is defined for acyclic bindings")
     pinned = g.sort_vertices(pinned)
     free = [w for w in g.parents(v) if w not in pinned]
-    removable = g.sort_vertices(removable_ancestors(g, v))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return len(free) - _modal_rank(g, draw_b_stack(g, rng, draws), removable, free)
+    return len(free) - _modal_rank(g, draw_b_stack(g, rng, draws), g.removable(v), free)
 
 
 def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
@@ -367,7 +365,8 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5, v_rank_fn=No
 def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache: dict, flows: dict):
     """Mismatch records of one graph; see cross_check_graph.
 
-    Both caches are keyed by (removable, Q).  The enumeration rank depends
+    Both caches are keyed by (removable, Q), with removable the column's
+    cached `g.removable(v)` tuple.  The enumeration rank depends
     only on that key and the directed part, the modal rank on that key and
     `b_stack`, so callers may share the caches across graphs that agree on
     the directed part and the parameter draws.  `flows` is `_Column.rank`'s
@@ -377,9 +376,8 @@ def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache
     """
     mismatches = []
     for v in g.vertices:
-        removable = g.sort_vertices(removable_ancestors(g, v))
-        col = _Column(g, v, removable)
-        pa = g.parents(v)
+        col = _Column(g, v)
+        removable, pa = col.removable, g.parents(v)
         for size in range(len(pa) + 1):
             for q in combinations(pa, size):
                 key = (removable, q)

@@ -1,8 +1,11 @@
-"""Small worked-example graphs, and a random-JSON strategy, shared across the test suite."""
+"""Small worked-example graphs, seeded cyclic graphs and a random-JSON strategy, shared across the test suite."""
+
+import random
+from itertools import combinations
 
 from hypothesis import strategies as st
 
-from admgident import LatentFactorGraph, MixedGraph
+from admgident import LatentFactorGraph, MixedGraph, is_acyclic
 
 # Any JSON value, for fuzzing the document readers.
 JSON_VALUES = st.recursive(
@@ -91,3 +94,47 @@ def factor_three_big_latents() -> LatentFactorGraph:
             ("l5", "v1"), ("l5", "v2"), ("l5", "v3"), ("l5", "v4"),
         ],
     )
+
+
+def seeded_cyclic_graph(seed: int) -> MixedGraph:
+    """Even seeds: disjoint cycles (some of length 1) fed by forward edges, rarely
+    a stray edge; odd seeds: a random digraph.  About one in seven gets a
+    bidirected edge."""
+    rng = random.Random(seed)
+    p = rng.randint(2, 8)
+    vs = [f"v{i + 1}" for i in range(p)]
+    directed = set()
+    if seed % 2 == 0:
+        order = rng.sample(vs, p)
+        cycles = []
+        while order:
+            k = min(len(order), rng.choice((1, 2, 2, 3, 4)))
+            cycles.append(order[:k])
+            order = order[k:]
+        for c in cycles:
+            if len(c) > 1:
+                directed |= {(c[i], c[(i + 1) % len(c)]) for i in range(len(c))}
+        for i, j in combinations(range(len(cycles)), 2):
+            for u in cycles[i]:
+                for w in cycles[j]:
+                    if rng.random() < 0.3:
+                        directed.add((u, w))
+        if rng.random() < 0.1:
+            a, b = rng.sample(vs, 2)
+            directed.add((a, b))
+    else:
+        d = rng.uniform(0.15, 0.6)
+        directed = {(a, b) for a in vs for b in vs if a != b and rng.random() < d}
+    bidirected = [tuple(rng.sample(vs, 2))] if rng.random() < 0.15 else []
+    return MixedGraph(vs, sorted(directed), bidirected)
+
+
+def seeded_cyclic_graphs(count: int):
+    """(seed, graph) for the first `count` cyclic graphs among the `seeded_cyclic_graph` seeds."""
+    seed = 0
+    while count:
+        g = seeded_cyclic_graph(seed)
+        if not is_acyclic(g):
+            count -= 1
+            yield seed, g
+        seed += 1

@@ -125,19 +125,21 @@ class TestRelations:
                     lookup("v9")
 
     def test_each_search_runs_once_per_graph(self, monkeypatch):
+        # One mask closure per vertex and direction; every later lookup reads the memo.
         searches = []
-        reach = MixedGraph._reach
+        closure = MixedGraph._closure
 
-        def counting_reach(self, start, step):
-            searches.append(start)
-            return reach(self, start, step)
+        def counting_closure(i, step, memo):
+            searches.append((i, id(memo)))
+            return closure(i, step, memo)
 
-        monkeypatch.setattr(MixedGraph, "_reach", counting_reach)
+        monkeypatch.setattr(MixedGraph, "_closure", staticmethod(counting_closure))
         g = confounded_diamond()
         for _ in range(3):
             assert [g.ancestors(v) for v in g.vertices] == [{"v1"}, {"v1", "v2"}, {"v1", "v3"}, set(g.vertices)]
             assert [g.descendants(v) for v in g.vertices] == [set(g.vertices), {"v2", "v4"}, {"v3", "v4"}, {"v4"}]
-        assert len(searches) == 2 * g.num_vertices
+            assert is_acyclic(g)
+        assert sorted(searches) == sorted({(i, id(m)) for i in range(4) for m in (g._an_masks, g._de_masks)})
 
     def test_reachability_on_cyclic_graph(self):
         g = MixedGraph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3"), ("v3", "v2")])

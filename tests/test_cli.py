@@ -234,6 +234,37 @@ class TestCheck:
         assert digest.hexdigest() == "4771859a3eca2a51511a9af958f9fd82f8b945017b6a479b5bc553ce4b5be380"
 
 
+class TestParser:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["check", "{g}", "--human"], ["check", "{g}"]),
+            (["check", "{g}", "--no-such-option"], ["check", "{g}"]),
+            (["flow", "{g}", "--node", "v4", "--set", "v2"], ["flow", "{g}", "--node", "v4"]),
+            (["check", "{g}", "--out", "{out}"], ["check", "{g}"]),
+        ],
+    )
+    def test_cached_parser_keeps_no_state_between_calls(self, first, second, diamond_file, tmp_path, capsys):
+        # The second call, made after the first on the one cached parser, must
+        # match the same call on a freshly built parser: exit code, stdout,
+        # stderr, and no --out file written.
+        out = tmp_path / "out.json"
+        first, second = ([a.format(g=diamond_file, out=out) for a in argv] for argv in (first, second))
+        cli._build_parser.cache_clear()
+        expected = main(second), capsys.readouterr()
+        cli._build_parser.cache_clear()
+        try:
+            assert main(first) == 0
+        except SystemExit as exc:
+            assert exc.code == 2
+        capsys.readouterr()
+        assert out.exists() == ("--out" in first)
+        out.unlink(missing_ok=True)
+        assert cli._build_parser() is cli._build_parser()
+        assert (main(second), capsys.readouterr()) == expected
+        assert not out.exists()
+
+
 class TestFlow:
     def test_diamond_last_column(self, diamond_file, capsys):
         assert main(["flow", diamond_file, "--node", "v4", "--set", "v2,v3"]) == 0

@@ -41,6 +41,7 @@ from figures import (
     half_identifiable_collider,
     iv_graph,
     k_cycle,
+    seeded_cyclic_graphs,
     two_cycle,
 )
 
@@ -126,7 +127,7 @@ class TestFlowNetwork:
 
 def _network_one_piece(g, v, q):
     """The network builder as it was before the per-column template, kept as the reference."""
-    g._require(v)
+    g.index(v)
     q = g.sort_vertices(q)
     if not set(q) <= set(g.parents(v)):
         raise NotAParentSubset(q, v)
@@ -163,7 +164,7 @@ class TestColumnTemplate:
                         targets = [q for k in range(len(pa) + 1) for q in combinations(pa, k)]
                     else:
                         targets = [pa] + [tuple(w for w in pa if w != u) for u in pa]
-                    col = ident._Column(g, v, g.sort_vertices(removable_ancestors(g, v)))
+                    col = ident._Column(g, v)
                     for q in targets:
                         # combinations follow pa order; the builder sorts q itself
                         q = q[::-1]
@@ -173,7 +174,7 @@ class TestColumnTemplate:
     def test_template_keeps_the_parent_subset_check(self):
         g = confounded_diamond()
         with pytest.raises(NotAParentSubset):
-            ident._Column(g, "v4", ("v1", "v2")).arcs(["v1"])
+            ident._Column(g, "v4").arcs(["v1"])
 
 
 class TestVRank:
@@ -520,7 +521,7 @@ class TestMatrixReport:
                 for v, col in report.columns.items():
                     pa = g.parents(v)
                     removable = g.sort_vertices(removable_ancestors(g, v))
-                    solved = ident._Column(g, v, removable).solve(pa)
+                    solved = ident._Column(g, v).solve(pa)
                     ok = forced[v] = solved.rank == len(pa)
                     assert col == ColumnVerdict(removable, solved.rank, ok, solved.paths() if ok else ()), (g, v)
                     for u in pa:
@@ -529,7 +530,7 @@ class TestMatrixReport:
                 assert matrix_generically_identifiable(g) == all(forced.values())
                 assert cyclic_necessary_condition(g) == forced
         assert set(rule) == {"inside", "too many", "flow"}, rule
-        for _, g in _cyclic_graphs(3000):
+        for _, g in seeded_cyclic_graphs(3000):
             forced = {v: v_rank(g, v, g.parents(v)) == len(g.parents(v)) for v in g.vertices}
             assert cyclic_necessary_condition(g) == forced, g
 
@@ -558,29 +559,30 @@ class TestMatrixReport:
         assert digest.hexdigest() == "5d717f77284bd6337ea35dfb80a7af62c50959d9f939b414c4249d2c981b7d35"
 
     def test_one_ancestor_search_and_one_removable_set_per_column(self, monkeypatch):
-        # Each column's network needs an(v) and its removable subset; the report
-        # reads both from that network instead of computing them again.
-        reaches = []
+        # Each column's network needs an(v) and its removable subset; the graph
+        # computes each once, as a mask closure and a cached tuple, and the
+        # acyclicity test, the size test and the network all read them.
+        closures = []
         removables = []
-        reach = MixedGraph._reach
-        removable = ident.removable_ancestors
+        closure = MixedGraph._closure
+        removable_of = MixedGraph._removable_of
 
-        def counting_reach(self, start, step):
-            reaches.append(start)
-            return reach(self, start, step)
+        def counting_closure(i, step, memo):
+            closures.append(i)
+            return closure(i, step, memo)
 
-        def counting_removable(g, v):
-            removables.append(v)
-            return removable(g, v)
+        def counting_removable_of(self, i):
+            removables.append(i)
+            return removable_of(self, i)
 
         g = random_admg(25, 0.5, 0)
-        monkeypatch.setattr(MixedGraph, "_reach", counting_reach)
-        monkeypatch.setattr(ident, "removable_ancestors", counting_removable)
+        monkeypatch.setattr(MixedGraph, "_closure", staticmethod(counting_closure))
+        monkeypatch.setattr(MixedGraph, "_removable_of", counting_removable_of)
         report = is_matrix_identifiable(g)
-        assert len(reaches) <= g.num_vertices
-        assert sorted(removables) == sorted(g.vertices)
+        assert sorted(closures) == list(range(g.num_vertices))
+        assert sorted(removables) == list(range(g.num_vertices))
         for v, col in report.columns.items():
-            assert col.removable == g.sort_vertices(removable(g, v))
+            assert col.removable == g.sort_vertices(removable_ancestors(g, v))
 
     def test_fast_path_agrees_with_report(self):
         for seed in range(40):
@@ -601,7 +603,7 @@ class TestCyclicChecks:
         # on the cyclic graphs of the cycle-decomposition digest.
         digest = hashlib.sha256()
         failing = 0
-        for _, g in _cyclic_graphs(3000):
+        for _, g in seeded_cyclic_graphs(3000):
             necessary = cyclic_necessary_condition(g)
             for v in g.vertices:
                 pa = g.parents(v)
@@ -620,50 +622,6 @@ class TestCyclicChecks:
                 assert necessary[v] == report.columns[v].identifiable
 
 
-def _cyclic_graph(seed: int) -> MixedGraph:
-    """Even seeds: disjoint cycles (some of length 1) fed by forward edges, rarely
-    a stray edge; odd seeds: a random digraph.  About one in seven gets a
-    bidirected edge."""
-    rng = random.Random(seed)
-    p = rng.randint(2, 8)
-    vs = [f"v{i + 1}" for i in range(p)]
-    directed = set()
-    if seed % 2 == 0:
-        order = rng.sample(vs, p)
-        cycles = []
-        while order:
-            k = min(len(order), rng.choice((1, 2, 2, 3, 4)))
-            cycles.append(order[:k])
-            order = order[k:]
-        for c in cycles:
-            if len(c) > 1:
-                directed |= {(c[i], c[(i + 1) % len(c)]) for i in range(len(c))}
-        for i, j in combinations(range(len(cycles)), 2):
-            for u in cycles[i]:
-                for w in cycles[j]:
-                    if rng.random() < 0.3:
-                        directed.add((u, w))
-        if rng.random() < 0.1:
-            a, b = rng.sample(vs, 2)
-            directed.add((a, b))
-    else:
-        d = rng.uniform(0.15, 0.6)
-        directed = {(a, b) for a in vs for b in vs if a != b and rng.random() < d}
-    bidirected = [tuple(rng.sample(vs, 2))] if rng.random() < 0.15 else []
-    return MixedGraph(vs, sorted(directed), bidirected)
-
-
-def _cyclic_graphs(count: int):
-    """(seed, graph) for the first `count` cyclic graphs among the `_cyclic_graph` seeds."""
-    seed = 0
-    while count:
-        g = _cyclic_graph(seed)
-        if not is_acyclic(g):
-            count -= 1
-            yield seed, g
-        seed += 1
-
-
 def _cycle_verdict(g: MixedGraph):
     try:
         return cycle_decomposition_identifiable(g)
@@ -679,7 +637,7 @@ class TestCycleDecomposition:
         # a flippable 2-cycle comes before the failing component.
         digest = hashlib.sha256()
         kinds = Counter()
-        for seed, g in _cyclic_graphs(3000):
+        for seed, g in seeded_cyclic_graphs(3000):
             try:
                 out = str(cycle_decomposition_identifiable(g))
                 kinds[out] += 1
@@ -694,7 +652,7 @@ class TestCycleDecomposition:
     def test_verdict_does_not_depend_on_vertex_order(self):
         # Every rotation of the declaration order and of its reverse; on these
         # graphs that finds every order dependence all permutations find.
-        for _, g in _cyclic_graphs(1000):
+        for _, g in seeded_cyclic_graphs(1000):
             verdict = _cycle_verdict(g)
             for order in (list(g.vertices), list(reversed(g.vertices))):
                 for i in range(len(order)):
