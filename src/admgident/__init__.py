@@ -6,8 +6,6 @@ from .admg import (
     MixedGraph,
     bidirected_connected_components,
     causal_order,
-    factor_graph_from_json,
-    factor_graph_to_json,
     graph_from_json,
     graph_to_json,
     is_acyclic,
@@ -16,7 +14,6 @@ from .admg import (
 )
 from .estimate import (
     EstimateResult,
-    FitOptions,
     KernelSpec,
     fit,
     gradient,

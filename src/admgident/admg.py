@@ -319,7 +319,6 @@ def latent_projection_bidirected(l: LatentFactorGraph) -> MixedGraph:
 # -- JSON documents ----------------------------------------------------------
 
 _GRAPH_KEYS = {"vertices", "directed", "bidirected"}
-_FACTOR_KEYS = {"vertices", "latents", "loadings", "weights"}
 
 
 def graph_from_json(text: str) -> MixedGraph:
@@ -348,44 +347,6 @@ def graph_to_json(g: MixedGraph) -> str:
         "directed": [list(e) for e in g.directed],
         "bidirected": [list(e) for e in g.bidirected],
     }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def factor_graph_from_json(text: str) -> LatentFactorGraph:
-    """Parse a factor-graph document; adds "latents"/"loadings" to the graph keys."""
-    doc = load_json_object(text, "factor document")
-    unknown = set(doc) - _FACTOR_KEYS
-    if unknown:
-        raise GraphFormatError(f"unknown keys in factor document: {sorted(unknown)}")
-    for key in ("vertices", "latents", "loadings"):
-        if key not in doc:
-            raise GraphFormatError(f"factor document lacks {key!r}")
-    vertices = _names(doc, "vertices")
-    latents = _names(doc, "latents")
-    loadings = _pairs(doc, "loadings")
-    weights = None
-    if doc.get("weights") is not None:
-        vals = _array(doc, "weights")
-        if len(vals) != len(loadings):
-            raise GraphFormatError("weights must align with loadings")
-        for w in vals:
-            if not finite_number(w):
-                raise GraphFormatError(f"weights must be finite numbers, got {w!r:.40}")
-        weights = dict(zip(loadings, vals))
-    try:
-        return LatentFactorGraph(vertices, latents, loadings, weights)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GraphFormatError(f"malformed factor document: {exc}") from exc
-
-
-def factor_graph_to_json(l: LatentFactorGraph) -> str:
-    doc = {
-        "vertices": list(l.observed),
-        "latents": list(l.latents),
-        "loadings": [list(e) for e in l.loadings],
-    }
-    if l.weights is not None:
-        doc["weights"] = [l.weights[e] for e in l.loadings]
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -12,9 +12,7 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,6 @@ from .errors import (
     NotCycleDecomposable,
 )
 
-WORKERS_ENV = "ADMGIDENT_WORKERS"
 # Upper bound on the number of values one --densities range may expand to.
 MAX_DENSITIES = 10_000
 
@@ -267,43 +264,27 @@ def cmd_verify(args) -> int:
 # -- survey ----------------------------------------------------------------------
 
 
-def _survey_one(task) -> bool:
-    p, density, seed = task
-    g = simulate.random_admg(p, density, seed)
-    return ident.matrix_generically_identifiable(g)
-
-
 def _graph_seed(seed: int, density_index: int, rep: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(density_index, rep)).generate_state(1)[0])
 
 
-def survey(p: int, densities, reps: int, seed: int, workers: int = 1):
+def survey(p: int, densities, reps: int, seed: int):
     """SurveyRow per density: proportion of identifiable sampled graphs.
 
-    Deterministic per seed regardless of worker count: every graph draws from
-    a stream keyed by (density index, repetition), and results reduce in task
-    order.  The pool holds at most one process per task and per usable CPU.
+    Deterministic per seed: every graph draws from a stream keyed by
+    (density index, repetition).
     """
     if reps < 1:
         return []
-    tasks = [
-        (p, density, _graph_seed(seed, di, i))
-        for di, density in enumerate(densities)
-        for i in range(reps)
-    ]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, len(tasks), cpus)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(_survey_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        flags = [_survey_one(t) for t in tasks]
     return [
         SurveyRow(
             p=p,
             density=round(density, 10),
             graphs_sampled=reps,
-            proportion_identifiable=sum(flags[di * reps:(di + 1) * reps]) / reps,
+            proportion_identifiable=sum(
+                ident.matrix_generically_identifiable(simulate.random_admg(p, density, _graph_seed(seed, di, i)))
+                for i in range(reps)
+            ) / reps,
             seed=seed,
         )
         for di, density in enumerate(densities)
@@ -334,12 +315,7 @@ def cmd_survey(args) -> int:
     if args.reps < 0:
         raise GraphFormatError(f"--reps must be >= 0, got {args.reps}")
     densities = _parse_densities(args.densities)
-    text = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(text)
-    except ValueError as exc:
-        raise GraphFormatError(f"{WORKERS_ENV} must be an integer, got {text!r:.40}") from exc
-    rows = survey(args.p, densities, args.reps, args.seed, workers=workers)
+    rows = survey(args.p, densities, args.reps, args.seed)
     target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(target)

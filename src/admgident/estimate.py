@@ -4,13 +4,13 @@ The sample objective sums the biased HSIC estimator over all vertex pairs
 that carry no bidirected edge, applied to the residual columns of a
 candidate coefficient matrix.  Gradients are analytic; the optimizer is
 box-constrained L-BFGS (memory 10) from scipy, with the search space
-clamped to |coefficient| <= bound.
+clamped to |coefficient| <= _BOUND.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -361,24 +361,10 @@ def regression_init(g: MixedGraph, ds: Dataset) -> ParamMatrix:
     return ParamMatrix(g, values)
 
 
-# L-BFGS-B iteration cap and projected-gradient tolerance
+# coefficient box |value| <= _BOUND, L-BFGS-B iteration cap and projected-gradient tolerance
+_BOUND = 50.0
 _MAX_ITER = 500
 _GRAD_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer knobs: coefficient box and column standardisation.
-
-    With `standardize` set (the default) the optimizer works on columns
-    scaled to unit variance and maps the coefficients back into the box;
-    the population zero set of the objective is unchanged
-    (independence is scale-invariant) while conditioning improves a lot on
-    data whose column variances span orders of magnitude.
-    """
-
-    bound: float = 50.0
-    standardize: bool = True
 
 
 @dataclass(frozen=True)
@@ -408,18 +394,18 @@ def fit(
     ds: Dataset,
     kernels,
     init: ParamMatrix,
-    opts: FitOptions | None = None,
     init_kind: str = "custom",
 ) -> EstimateResult:
     """Minimize the residual-dependence objective from the given start.
 
     RBF bandwidths are resolved once at the initial residuals and then held
     fixed, keeping the objective smooth in the coefficients.  Coefficients
-    are box-constrained to |value| <= opts.bound, and by default the search
-    runs in unit-variance column coordinates (see FitOptions.standardize);
-    results always come back in the original coordinates.
+    are box-constrained to |value| <= _BOUND.  The search runs on columns
+    scaled to unit variance: independence is scale-invariant, so the
+    population zero set is unchanged, while conditioning improves a lot on
+    data whose column variances span orders of magnitude.  Results come
+    back in the original coordinates.
     """
-    opts = opts or FitOptions()
     if ds.columns != g.vertices:
         raise BindingMismatch("dataset columns must match the graph vertices")
     if ds.n < 2:
@@ -427,30 +413,25 @@ def fit(
     edges = g.directed
     p = g.num_vertices
 
-    if opts.standardize:
-        # std of each column scaled into [0.5, 1) by a power of two, scaled back:
-        # exact, and no square overflows however large the cells are
-        top = np.abs(ds.values).max(axis=0, initial=0.0)
-        _, exponent = np.frexp(top)
-        sd = np.ldexp(np.ldexp(ds.values, -exponent).std(axis=0), exponent)
-        # a constant column is scaled to +-1 instead, and an all-zero one by 1
-        sd = np.where(sd > 0.0, sd, np.where(top > 0.0, top, 1.0))
-        # lam_std[u, v] = lam[u, v] * sd_u / sd_v, an exact reparameterization;
-        # a scale or box past the float range is inf, which bounds nothing
-        with np.errstate(over="ignore"):
-            edge_scale = np.array([sd[g.index(u)] / sd[g.index(v)] for u, v in edges])
-            init = ParamMatrix(
-                g, {(u, v): x * sd[g.index(u)] / sd[g.index(v)] for (u, v), x in init.values.items()}
-            )
-            bounds = [(-opts.bound * s, opts.bound * s) for s in edge_scale]
-        ds = Dataset(ds.columns, ds.values / sd, ds.provenance)
-    else:
-        edge_scale = np.ones(len(edges))
-        bounds = [(-opts.bound, opts.bound)] * len(edges)
+    # std of each column scaled into [0.5, 1) by a power of two, scaled back:
+    # exact, and no square overflows however large the cells are
+    top = np.abs(ds.values).max(axis=0, initial=0.0)
+    _, exponent = np.frexp(top)
+    sd = np.ldexp(np.ldexp(ds.values, -exponent).std(axis=0), exponent)
+    # a constant column is scaled to +-1 instead, and an all-zero one by 1
+    sd = np.where(sd > 0.0, sd, np.where(top > 0.0, top, 1.0))
+    # lam_std[u, v] = lam[u, v] * sd_u / sd_v, an exact reparameterization;
+    # a scale or box past the float range is inf, which bounds nothing
+    with np.errstate(over="ignore"):
+        edge_scale = np.array([sd[g.index(u)] / sd[g.index(v)] for u, v in edges])
+        init = ParamMatrix(
+            g, {(u, v): x * sd[g.index(u)] / sd[g.index(v)] for (u, v), x in init.values.items()}
+        )
+        box = _BOUND * edge_scale
+    ds = Dataset(ds.columns, ds.values / sd, ds.provenance)
 
     layout = _Layout(g, _resolved(g, kernels, ds, init), ds.values)
-    x0 = np.array([init.values.get(edge, 0.0) for edge in edges])
-    x0 = np.clip(x0, [b[0] for b in bounds], [b[1] for b in bounds]) if len(edges) else x0
+    x0 = np.clip([init.values.get(edge, 0.0) for edge in edges], -box, box)
 
     def pack(vec: np.ndarray) -> np.ndarray:
         lam = np.zeros((p, p))
@@ -467,7 +448,7 @@ def fit(
         # a coefficient on a standardised bound can round past the box on the way back;
         # a scale that underflowed to 0 pins its edge at 0, which stays 0
         lam = np.divide(vec, edge_scale, out=np.zeros(len(vec)), where=edge_scale != 0)
-        lam = np.clip(lam, -opts.bound, opts.bound)
+        lam = np.clip(lam, -_BOUND, _BOUND)
         return ParamMatrix(g, {edge: float(lam[i]) for i, edge in enumerate(edges)})
 
     def record(intermediate_result):
@@ -489,7 +470,7 @@ def fit(
             x0,
             jac=True,
             method="L-BFGS-B",
-            bounds=bounds,
+            bounds=list(zip(-box, box)),
             callback=record,
             options={
                 "maxiter": _MAX_ITER,

@@ -359,20 +359,21 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5, v_rank_fn=No
     under test.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _check_graph(g, draw_b_stack(g, rng, draws), v_rank_fn, {}, {}, {})
+    return _check_graph(g, draw_b_stack(g, rng, draws), v_rank_fn, {}, {})
 
 
-def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache: dict, flows: dict):
+def _check_graph(g: MixedGraph, b_stack, v_rank_fn, ranks: dict, flows: dict):
     """Mismatch records of one graph; see cross_check_graph.
 
-    Both caches are keyed by (removable, Q), with removable the column's
-    cached `g.removable(v)` tuple.  The enumeration rank depends
-    only on that key and the directed part, the modal rank on that key and
-    `b_stack`, so callers may share the caches across graphs that agree on
-    the directed part and the parameter draws.  `flows` is `_Column.rank`'s
-    memo, keyed by the built network (node count, arcs): the key is the whole
-    input of the solver, so any graph may share it.  A substituted
-    `v_rank_fn` is called for every (v, Q) instead.
+    `ranks` maps (removable, Q), with removable the column's cached
+    `g.removable(v)` tuple, to the (enumeration, modal) rank pair.  The
+    enumeration rank depends only on that key and the directed part, the
+    modal rank on that key and `b_stack`, so callers may share the cache
+    across graphs that agree on the directed part and the parameter draws.
+    `flows` is `_Column.rank`'s memo, keyed by the built network (node
+    count, arcs): the key is the whole input of the solver, so any graph
+    may share it.  A substituted `v_rank_fn` is called for every (v, Q)
+    instead.
     """
     mismatches = []
     for v in g.vertices:
@@ -382,12 +383,9 @@ def _check_graph(g: MixedGraph, b_stack, v_rank_fn, enum_cache: dict, rank_cache
             for q in combinations(pa, size):
                 key = (removable, q)
                 flow = col.rank(q, flows) if v_rank_fn is None else v_rank_fn(g, v, q)
-                if key not in enum_cache:
-                    enum_cache[key] = _enum_rank(g, removable, q, ENUMERATION_CAP)
-                if key not in rank_cache:
-                    rank_cache[key] = _modal_rank(g, b_stack, removable, q)
-                enum = enum_cache[key]
-                modal = rank_cache[key]
+                if key not in ranks:
+                    ranks[key] = _enum_rank(g, removable, q, ENUMERATION_CAP), _modal_rank(g, b_stack, removable, q)
+                enum, modal = ranks[key]
                 if not flow == enum == modal:
                     mismatches.append(
                         {
@@ -447,12 +445,11 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
             directed = [(vertices[a], vertices[b]) for a, b in dag]
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
             b_stack = draw_b_stack(MixedGraph(vertices, directed), rng, 5)
-            rank_cache = {}
-            enum_cache = {}
+            ranks = {}
             for bid in all_bidirected_sets(p):
                 bidirected = [(vertices[a], vertices[b]) for a, b in bid]
                 g = MixedGraph(vertices, directed, bidirected)
-                found = _check_graph(g, b_stack, v_rank_fn, enum_cache, rank_cache, flows)
+                found = _check_graph(g, b_stack, v_rank_fn, ranks, flows)
                 graphs += 1
                 checks += sum(2 ** len(g.parents(v)) for v in g.vertices)
                 mismatches.extend(found)
@@ -461,7 +458,7 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
         for i in range(sample_count):
             g = random_admg(p, densities[i % len(densities)], seed=seed * 100003 + i)
             rng = np.random.default_rng(np.random.SeedSequence(seed + i))
-            found = _check_graph(g, draw_b_stack(g, rng, 5), v_rank_fn, {}, {}, flows)
+            found = _check_graph(g, draw_b_stack(g, rng, 5), v_rank_fn, {}, flows)
             graphs += 1
             checks += sum(2 ** len(g.parents(v)) for v in g.vertices)
             mismatches.extend(found)

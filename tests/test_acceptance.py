@@ -165,7 +165,7 @@ def test_criterion_4_survey_shape():
     target: five minutes)."""
     t0 = time.time()
     densities = [round(0.1 * k, 1) for k in range(1, 10)]
-    rows = survey(25, densities, reps=500, seed=0, workers=1)
+    rows = survey(25, densities, reps=500, seed=0)
     elapsed = time.time() - t0
     props = [r.proportion_identifiable for r in rows]
     low_ok = props[0] >= 0.7

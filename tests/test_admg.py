@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -10,8 +9,6 @@ from admgident import (
     LatentFactorGraph,
     bidirected_connected_components,
     causal_order,
-    factor_graph_from_json,
-    factor_graph_to_json,
     graph_from_json,
     graph_to_json,
     is_acyclic,
@@ -26,7 +23,7 @@ from admgident.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from figures import JSON_VALUES, confounded_diamond, iv_graph, k_cycle, two_cycle
+from figures import confounded_diamond, iv_graph, k_cycle, two_cycle
 
 
 @st.composite
@@ -245,28 +242,7 @@ class TestLatentProjection:
         assert latent_projection_bidirected(l1) == latent_projection_bidirected(l2)
 
 
-_NAMES = st.sampled_from(["a", "b", "l", "m"])
-_FACTOR_DOCS = JSON_VALUES | st.fixed_dictionaries(
-    {
-        "vertices": st.lists(_NAMES, max_size=3) | JSON_VALUES,
-        "latents": st.lists(_NAMES, max_size=2) | JSON_VALUES,
-        "loadings": st.lists(st.lists(_NAMES, min_size=1, max_size=3), max_size=4) | JSON_VALUES,
-    },
-    optional={"weights": st.lists(st.integers() | st.floats() | JSON_VALUES, max_size=4) | JSON_VALUES, "directed": JSON_VALUES},
-)
-
-
 class TestJson:
-    @settings(max_examples=100, deadline=None)
-    @given(doc=_FACTOR_DOCS)
-    def test_factor_documents_fuzz(self, doc):
-        # No command reads factor JSON, so this holds the reader to the CLI's
-        # contract directly: a factor graph, or a format (exit 2) or model (exit 3) error.
-        try:
-            assert isinstance(factor_graph_from_json(json.dumps(doc)), LatentFactorGraph)
-        except (GraphFormatError, InvalidFactorGraph, DuplicateVertex):
-            pass
-
     def test_round_trip(self):
         g = confounded_diamond()
         assert graph_from_json(graph_to_json(g)) == g
@@ -287,41 +263,3 @@ class TestJson:
     def test_vertices_required(self):
         with pytest.raises(GraphFormatError):
             graph_from_json('{"directed": []}')
-
-    def test_factor_round_trip(self):
-        l = LatentFactorGraph(
-            ["a", "b"], ["l1"], [("l1", "a"), ("l1", "b")], {("l1", "a"): 2.0, ("l1", "b") : -1.0}
-        )
-        doc = factor_graph_to_json(l)
-        back = factor_graph_from_json(doc)
-        assert back.loadings == l.loadings
-        assert back.weights == l.weights
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"vertices": "ab", "latents": ["l"], "loadings": [["l", "a"]]},
-            {"vertices": ["a"], "latents": "l", "loadings": [["l", "a"]]},
-            {"vertices": ["a"], "latents": ["l"], "loadings": ["la"]},
-            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": "1"},
-            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": ["x"]},
-            {"vertices": [1], "latents": ["l"], "loadings": [["l", "1"]]},
-            {"vertices": ["a"], "latents": [None], "loadings": [["None", "a"]]},
-            {"vertices": ["1"], "latents": ["l"], "loadings": [["l", 1]]},
-            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [10**400]},
-            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [float("nan")]},
-            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [float("inf")]},
-            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [-float("inf")]},
-            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [True]},
-            {"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": ["1"]},
-        ],
-    )
-    def test_factor_fields_must_be_arrays_of_the_right_values(self, doc):
-        with pytest.raises(GraphFormatError):
-            factor_graph_from_json(json.dumps(doc))
-
-    def test_factor_weights_must_align(self):
-        with pytest.raises(GraphFormatError):
-            factor_graph_from_json(
-                json.dumps({"vertices": ["a"], "latents": ["l"], "loadings": [["l", "a"]], "weights": [1.0, 2.0]})
-            )

@@ -33,7 +33,6 @@ from admgident.errors import (
     ZeroTrueMatrix,
 )
 from admgident.estimate import (
-    FitOptions,
     median_bandwidth,
     polynomial_kernel,
     rbf_kernel,
@@ -524,14 +523,6 @@ class TestFit:
         assert res.final_objective <= trace[0]
         assert res.converged
 
-    def test_unstandardized_descends_raw_objective(self):
-        g = iv_graph()
-        lam = sample_parameters(g, seed=13)
-        data = generate_data(g, lam, sample_errors(g, ErrorModel(), 500, seed=13))
-        k = polynomial_kernel(2, 1.0)
-        res = fit(g, data, k, lam, opts=FitOptions(standardize=False), init_kind="true-value")
-        assert objective(g, res.lam_hat, data, k) <= objective(g, lam, data, k) + 1e-12
-
     def test_improves_on_regression_init(self):
         g = iv_graph()
         lam = sample_parameters(g, seed=14)
@@ -540,33 +531,54 @@ class TestFit:
         res = fit(g, data, polynomial_kernel(2, 1.0), init, init_kind="regression")
         assert normalized_frobenius_loss(res.lam_hat, lam) < normalized_frobenius_loss(init, lam)
 
-    def test_respects_bounds(self):
+    def test_respects_bounds(self, monkeypatch):
+        monkeypatch.setattr(estimate, "_BOUND", 0.5)
         g = iv_graph()
         lam = sample_parameters(g, seed=15)
         data = generate_data(g, lam, sample_errors(g, ErrorModel(), 300, seed=15))
-        res = fit(g, data, polynomial_kernel(2, 1.0), ParamMatrix(g, {}), opts=FitOptions(bound=0.5))
+        res = fit(g, data, polynomial_kernel(2, 1.0), ParamMatrix(g, {}))
         assert all(abs(v) <= 0.5 + 1e-9 for v in res.lam_hat.values.values())
 
     @pytest.mark.parametrize("scale", [0.3, 1.0, 11.0])
-    def test_coefficients_on_the_bound_stay_in_the_box(self, scale):
+    def test_coefficients_on_the_bound_stay_in_the_box(self, scale, monkeypatch):
         # Both coefficients end on the standardised bound 0.1 * sd_u / sd_v; mapped back,
         # v2->v3 at scale 11 used to read 0.10000000000000002.
+        monkeypatch.setattr(estimate, "_BOUND", 0.1)
         g = iv_graph()
         data = generate_data(g, sample_parameters(g, seed=0), sample_errors(g, ErrorModel(kind=LAPLACE), 200, seed=0))
         data = Dataset(data.columns, data.values * np.array([1.0, scale, 1.0]), data.provenance)
-        res = fit(g, data, polynomial_kernel(2, 1.0), regression_init(g, data), FitOptions(bound=0.1))
+        res = fit(g, data, polynomial_kernel(2, 1.0), regression_init(g, data))
         assert all(abs(v) <= 0.1 for v in res.lam_hat.values.values())
         assert res.lam_hat.get("v1", "v2") == 0.1
 
-    @pytest.mark.parametrize("kernel", [rbf_kernel(), polynomial_kernel()])
-    def test_unstandardized_fit_on_huge_data_is_a_package_error(self, kernel):
-        # Squared differences of cells near 1e160 overflow, and so does the median
-        # bandwidth's square; the objective is non-finite from the start.
+    @pytest.mark.parametrize("failing_call", [1, 4], ids=["start", "later"])
+    def test_non_finite_objective_raises_with_the_last_iterate(self, failing_call, monkeypatch):
+        # The columns' scales differ, so standardised and original coordinates differ;
+        # the start (3.0, -0.2) lies outside the box, which clips it to (1.0, -0.2).
+        monkeypatch.setattr(estimate, "_BOUND", 1.0)
         g = iv_graph()
-        data = generate_data(g, sample_parameters(g, seed=1), sample_errors(g, ErrorModel(kind=LAPLACE), 50, seed=1))
-        data = Dataset(data.columns, data.values * 1e160, data.provenance)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteObjective):
-            fit(g, data, kernel, regression_init(g, data), FitOptions(standardize=False))
+        data = generate_data(g, sample_parameters(g, seed=3), sample_errors(g, ErrorModel(), 200, seed=3))
+        data = Dataset(data.columns, data.values * np.array([0.5, 7.0, 3.0]), data.provenance)
+        real, seen = _value_and_gradient, []
+
+        def failing(layout, lam):
+            seen.append(lam.copy())
+            value, grad = real(layout, lam)
+            return (math.inf if len(seen) == failing_call else value), grad
+
+        monkeypatch.setattr(estimate, "_value_and_gradient", failing)
+        with pytest.raises(NonFiniteObjective) as exc:
+            fit(g, data, polynomial_kernel(2, 1.0), ParamMatrix(g, {("v1", "v2"): 3.0, ("v2", "v3"): -0.2}))
+        assert len(seen) == failing_call
+        last = exc.value.last_iterate
+        assert all(abs(x) <= estimate._BOUND for x in last.values.values())
+        sd = data.values.std(axis=0)
+        for u, v in g.directed:
+            standardised = seen[-1][g.index(u), g.index(v)]
+            assert last.get(u, v) == pytest.approx(standardised * sd[g.index(v)] / sd[g.index(u)], rel=1e-12)
+        if failing_call == 1:
+            assert last.get("v1", "v2") == pytest.approx(1.0, rel=1e-15)
+            assert last.get("v2", "v3") == pytest.approx(-0.2, rel=1e-15)
 
     def test_no_edges_graph(self):
         g = MixedGraph(["a", "b"], [], [])
