@@ -352,42 +352,61 @@ def all_bidirected_sets(p: int):
 
 
 def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5, v_rank_fn=None):
-    """Compare flow rank, brute-force rank, and modal numeric rank on one graph.
+    """Compare flow rank, brute-force rank, and modal numeric rank on one acyclic graph.
 
     Checks every (v, Q) with Q a subset of pa(v); returns a list of mismatch
     records (empty on agreement).  `v_rank_fn` may substitute the flow engine
-    under test.
+    under test.  The graph must be acyclic: the enumeration and the path
+    matrix count paths through v, which the flow network excludes.
     """
+    if not is_acyclic(g):
+        raise CyclicGraph("the triple-oracle check is defined for acyclic graphs")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _check_graph(g, draw_b_stack(g, rng, draws), v_rank_fn, {}, {})
+    report = {"graphs": 0, "checks": 0, "mismatches": []}
+    _check_dag(g, [g], draw_b_stack(g, rng, draws), v_rank_fn, {}, report)
+    return report["mismatches"]
 
 
-def _check_graph(g: MixedGraph, b_stack, v_rank_fn, ranks: dict, flows: dict):
-    """Mismatch records of one graph; see cross_check_graph.
+def _check_dag(dag: MixedGraph, graphs, b_stack, v_rank_fn, flows: dict, report: dict):
+    """Add the graphs, checks and mismatch records of `graphs` to `report`; see cross_check_graph.
 
-    `ranks` maps (removable, Q), with removable the column's cached
-    `g.removable(v)` tuple, to the (enumeration, modal) rank pair.  The
-    enumeration rank depends only on that key and the directed part, the
-    modal rank on that key and `b_stack`, so callers may share the cache
-    across graphs that agree on the directed part and the parameter draws.
-    `flows` is `_Column.rank`'s memo, keyed by the built network (node
-    count, arcs): the key is the whole input of the solver, so any graph
-    may share it.  A substituted `v_rank_fn` is called for every (v, Q)
-    instead.
+    Every graph has the directed part of `dag`, which fixes the plan (each
+    v with the Q-subsets of pa(v)) and so the checks.  Two caches serve them
+    all and end with the call.  `ranks` maps (removable, Q), removable being
+    `g.removable(v)`, to the (enumeration, modal) ranks, which depend only
+    on that key, the directed part and `b_stack`.  `columns` maps
+    (v, removable) to the max flow of each Q of the plan: the column
+    network of (v, Q) takes its nodes, split arcs and directed arcs from the
+    directed part, its source arcs from removable and its sink arcs from Q,
+    so one `_Column` serves every graph with that key.  It looks each
+    network up in `flows`, keyed on the solver's complete input (node
+    count, arcs), which the whole sweep shares.  A substituted `v_rank_fn`
+    is called for every (v, Q) instead.
     """
-    mismatches = []
-    for v in g.vertices:
-        col = _Column(g, v)
-        removable, pa = col.removable, g.parents(v)
-        for size in range(len(pa) + 1):
-            for q in combinations(pa, size):
+    plan = []
+    for v in dag.vertices:
+        pa = dag.parents(v)
+        plan.append((v, [q for size in range(len(pa) + 1) for q in combinations(pa, size)]))
+    ranks, columns = {}, {}
+    for g in graphs:
+        report["graphs"] += 1
+        for v, qs in plan:
+            report["checks"] += len(qs)
+            removable = g.removable(v)
+            if v_rank_fn is not None:
+                column_flows = [v_rank_fn(g, v, q) for q in qs]
+            else:
+                if (v, removable) not in columns:
+                    col = _Column(g, v)
+                    columns[v, removable] = [col.rank(q, flows) for q in qs]
+                column_flows = columns[v, removable]
+            for q, flow in zip(qs, column_flows):
                 key = (removable, q)
-                flow = col.rank(q, flows) if v_rank_fn is None else v_rank_fn(g, v, q)
                 if key not in ranks:
                     ranks[key] = _enum_rank(g, removable, q, ENUMERATION_CAP), _modal_rank(g, b_stack, removable, q)
                 enum, modal = ranks[key]
                 if not flow == enum == modal:
-                    mismatches.append(
+                    report["mismatches"].append(
                         {
                             "vertices": list(g.vertices),
                             "directed": [list(e) for e in g.directed],
@@ -399,7 +418,6 @@ def _check_graph(g: MixedGraph, b_stack, v_rank_fn, ranks: dict, flows: dict):
                             "numeric_rank": modal,
                         }
                     )
-    return mismatches
 
 
 def _modal_rank(g: MixedGraph, b_stack, removable, q) -> int:
@@ -427,39 +445,32 @@ def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
 def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000, v_rank_fn=None):
     """Exhaustive (p <= 4) plus sampled (p = 5, 6) triple-oracle agreement sweep.
 
-    Returns {"graphs": count, "checks": count, "mismatches": [...]}.  The
-    parameter draws behind the numeric ranks are shared per directed part so
-    rank and enumeration results can be cached across bidirected variants.
-    Max flows are memoised for the whole sweep under the built network, the
-    solver's complete input, so each distinct network is solved once.
+    Returns {"graphs": count, "checks": count, "mismatches": [...]}.  On
+    p <= 4 vertices each directed part is checked once with all of its
+    bidirected variants, which share its parameter draws and the caches of
+    `_check_dag`.  Max flows are memoised for the whole sweep under the
+    built network, the solver's complete input, so each distinct network
+    is solved once.
     """
+
     from .simulate import random_admg
 
-    graphs = 0
-    checks = 0
-    mismatches = []
+    report = {"graphs": 0, "checks": 0, "mismatches": []}
     flows = {}
     for p in range(1, min(max_vertices, 4) + 1):
         vertices = [f"v{i + 1}" for i in range(p)]
         for dag_idx, dag in enumerate(all_dags(p)):
-            directed = [(vertices[a], vertices[b]) for a, b in dag]
+            base = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
-            b_stack = draw_b_stack(MixedGraph(vertices, directed), rng, 5)
-            ranks = {}
-            for bid in all_bidirected_sets(p):
-                bidirected = [(vertices[a], vertices[b]) for a, b in bid]
-                g = MixedGraph(vertices, directed, bidirected)
-                found = _check_graph(g, b_stack, v_rank_fn, ranks, flows)
-                graphs += 1
-                checks += sum(2 ** len(g.parents(v)) for v in g.vertices)
-                mismatches.extend(found)
+            graphs = (
+                MixedGraph(vertices, base.directed, [(vertices[a], vertices[b]) for a, b in bid])
+                for bid in all_bidirected_sets(p)
+            )
+            _check_dag(base, graphs, draw_b_stack(base, rng, 5), v_rank_fn, flows, report)
     for p in range(5, max_vertices + 1):
         densities = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         for i in range(sample_count):
             g = random_admg(p, densities[i % len(densities)], seed=seed * 100003 + i)
             rng = np.random.default_rng(np.random.SeedSequence(seed + i))
-            found = _check_graph(g, draw_b_stack(g, rng, 5), v_rank_fn, {}, flows)
-            graphs += 1
-            checks += sum(2 ** len(g.parents(v)) for v in g.vertices)
-            mismatches.extend(found)
-    return {"graphs": graphs, "checks": checks, "mismatches": mismatches}
+            _check_dag(g, [g], draw_b_stack(g, rng, 5), v_rank_fn, flows, report)
+    return report

@@ -32,7 +32,7 @@ from admgident.errors import (
     SizeMismatch,
     TooLarge,
 )
-from admgident.oracle import all_dags, generic_parameters
+from admgident.oracle import all_bidirected_sets, all_dags, generic_parameters
 from figures import confounded_diamond, double_confounder, half_identifiable_collider, two_cycle
 
 
@@ -343,6 +343,13 @@ class TestBruteForce:
         assert mismatches
         assert {"v", "q", "flow", "enumeration", "numeric_rank"} <= set(mismatches[0])
 
+    def test_cross_check_refuses_cyclic_graphs(self):
+        # Enumeration and the path matrix count the path v -> y through v,
+        # which the flow network excludes, so (v, {y}) would read 0 against 1.
+        g = MixedGraph(["x", "v", "y"], [("x", "v"), ("v", "y"), ("y", "v")], [("v", "y")])
+        with pytest.raises(CyclicGraph):
+            cross_check_graph(g)
+
 
 class TestVerifySweep:
     @staticmethod
@@ -385,3 +392,40 @@ class TestVerifySweep:
         assert report["mismatches"] == []
         assert len(calls) == report["checks"] == 1073
         assert len(solves) == 1073
+
+    def test_four_vertex_sweep_builds_one_column_per_dag_and_removable_set(self, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        builds = []
+        build = ident._Column.__init__
+
+        def counting_build(self, g, v):
+            builds.append(v)
+            build(self, g, v)
+
+        monkeypatch.setattr(ident._Column, "__init__", counting_build)
+        report = verify_sweep(4, 0)
+        assert (report["graphs"], report["checks"], report["mismatches"]) == (34959, 323121, [])
+        assert len(solves) == 1706
+        assert len(builds) == 6553
+
+    def test_dag_removable_and_q_fix_the_column_network(self):
+        # The sweep shares one column per (v, removable) across the
+        # bidirected variants of a directed part: every check with the same
+        # (v, removable, Q) there must build the same network.
+        columns = networks_built = 0
+        for p in range(1, 5):
+            vertices = [f"v{i + 1}" for i in range(p)]
+            for dag in all_dags(p):
+                directed = [(vertices[a], vertices[b]) for a, b in dag]
+                networks = {}
+                for bid in all_bidirected_sets(p):
+                    g = MixedGraph(vertices, directed, [(vertices[a], vertices[b]) for a, b in bid])
+                    for v in vertices:
+                        col = ident._Column(g, v)
+                        pa = g.parents(v)
+                        for q in (q for size in range(len(pa) + 1) for q in combinations(pa, size)):
+                            network = (col.n, col.arcs(q)[1])
+                            assert networks.setdefault((v, g.removable(v), q), network) == network
+                columns += len({key[:2] for key in networks})
+                networks_built += len(networks)
+        assert (columns, networks_built) == (6553, 21937)
