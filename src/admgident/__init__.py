@@ -5,12 +5,10 @@ from .admg import (
     LatentFactorGraph,
     MixedGraph,
     bidirected_connected_components,
-    causal_order,
     graph_from_json,
     graph_to_json,
     is_acyclic,
     latent_projection_bidirected,
-    relations,
 )
 from .estimate import (
     EstimateResult,

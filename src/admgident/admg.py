@@ -1,4 +1,4 @@
-"""Mixed graphs: data model, validation, genealogy, causal orders, latent factor graphs.
+"""Mixed graphs: data model, validation, genealogy, acyclicity, latent factor graphs.
 
 Vertex ids are opaque strings.  Dense indices follow the declared vertex
 order, which also fixes every deterministic tie-break in the package.
@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import (
-    CyclicGraph,
     DuplicateVertex,
     GraphFormatError,
     InvalidFactorGraph,
@@ -181,60 +179,9 @@ class MixedGraph:
         )
 
 
-@dataclass(frozen=True)
-class Relations:
-    """Genealogy of one vertex; an/de include the vertex itself."""
-
-    pa: frozenset
-    ch: frozenset
-    an: frozenset
-    de: frozenset
-    sib: frozenset
-    sib_and_self: frozenset
-
-
 def is_acyclic(g: MixedGraph) -> bool:
     """True iff the directed part has no non-trivial directed cycle: no edge u -> v with v in an(u)."""
     return not any(g._an_mask(i) & ch for i, ch in enumerate(g._ch))
-
-
-def causal_order(g: MixedGraph) -> tuple[str, ...]:
-    """Topological order of the directed part, Kahn's algorithm.
-
-    Ties are broken by declaration order, so the result is deterministic;
-    raises CyclicGraph when no order exists.
-    """
-    indeg = {v: len(g.parents(v)) for v in g.vertices}
-    ready = [v for v in g.vertices if indeg[v] == 0]
-    order = []
-    while ready:
-        v = min(ready, key=g.index)
-        ready.remove(v)
-        order.append(v)
-        for w in g.children(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) != len(g.vertices):
-        raise CyclicGraph("directed part contains a cycle")
-    return tuple(order)
-
-
-def relations(g: MixedGraph, v: str) -> Relations:
-    """Parents, children, ancestors, descendants and siblings of v.
-
-    Ancestor/descendant sets are computed by reachability and therefore also
-    make sense on cyclic graphs.
-    """
-    sib = frozenset(g.siblings(v))
-    return Relations(
-        pa=frozenset(g.parents(v)),
-        ch=frozenset(g.children(v)),
-        an=g.ancestors(v),
-        de=g.descendants(v),
-        sib=sib,
-        sib_and_self=sib | {v},
-    )
 
 
 def bidirected_connected_components(g: MixedGraph) -> tuple[frozenset, ...]:

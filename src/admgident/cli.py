@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--edge", help="single edge u,v")
     p.add_argument("--known", help="comma list of parents with known coefficients")
-    p.add_argument("--cyclic", action="store_true", help="force the cyclic-analysis path")
     p.add_argument("--human", action="store_true")
     p.add_argument("--out", help="write the report JSON to this file")
     p.set_defaults(handler=cmd_check)
@@ -138,14 +137,12 @@ def _emit(args, text: str) -> None:
 def cmd_check(args) -> int:
     if args.known and not args.edge:
         raise GraphFormatError("--known requires --edge")
-    if args.edge and args.cyclic:
-        raise GraphFormatError("--edge does not combine with --cyclic")
     g = _load_graph(args.graph)
     acyclic = admg.is_acyclic(g)
     if args.edge and not acyclic:
         raise CyclicGraph("--edge needs an acyclic graph; drop it for the cyclic analysis")
-    if args.cyclic or not acyclic:
-        return _check_cyclic(args, g, acyclic)
+    if not acyclic:
+        return _check_cyclic(args, g)
     if args.edge:
         u, v = _parse_pair(args.edge)
         known = [w.strip() for w in (args.known or "").split(",") if w.strip()]
@@ -167,10 +164,10 @@ def _human_report(doc, g) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_cyclic(args, g, acyclic: bool) -> int:
+def _check_cyclic(args, g) -> int:
     necessary = ident.cyclic_necessary_condition(g)
     doc = {
-        "acyclic": acyclic,
+        "acyclic": False,
         "necessary_condition": necessary,
         "all_pass": all(necessary.values()),
         "mode": "necessary-only",

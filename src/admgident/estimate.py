@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .admg import MixedGraph
 from .errors import (
@@ -465,6 +464,9 @@ def fit(
                 init_kind=init_kind,
                 final_objective=trace[0],
             )
+        # imported here, not at the top: it is most of the package's import time, and only fits use it
+        from scipy.optimize import minimize
+
         res = minimize(
             fun,
             x0,

@@ -64,16 +64,21 @@ class ParamMatrix:
 
     @staticmethod
     def from_json(graph: MixedGraph, text: str) -> "ParamMatrix":
-        """Inverse of to_json; a malformed document is a GraphFormatError."""
+        """Inverse of to_json; a malformed document is a GraphFormatError.
+
+        Keys are matched against the graph's own "u->v" edge keys, so vertex
+        names may contain "->"; a key that names no edge stays a string, which
+        construction rejects as a BindingMismatch.
+        """
         edges = load_json_object(text, "parameter JSON").get("edges", {})
         if not isinstance(edges, dict):
             raise GraphFormatError("parameter JSON must be an object whose 'edges' is an object")
+        keys = {f"{u}->{v}": (u, v) for u, v in graph.directed}
         values = {}
         for key, x in edges.items():
             if not finite_number(x):
                 raise GraphFormatError(f"parameter {key!r} must be a finite number, got {x!r:.40}")
-            u, _, v = key.partition("->")
-            values[(u, v)] = float(x)
+            values[keys.get(key, key)] = float(x)
         return ParamMatrix(graph, values)
 
 

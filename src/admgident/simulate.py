@@ -23,7 +23,7 @@ from .errors import (
     InvalidDensity,
     UnsupportedOrder,
 )
-from .oracle import ParamMatrix, path_matrix
+from .oracle import DET_TOL, ParamMatrix, path_matrix
 
 # stream kinds; part of the on-disk reproducibility contract
 _K_GRAPH = 1
@@ -151,7 +151,7 @@ def sample_parameters(g: MixedGraph, seed: int) -> ParamMatrix:
             rng = _stream(seed, _K_LAMBDA, attempt, g.index(u), g.index(v))
             values[(u, v)] = float(rng.uniform(-5.0, 5.0))
         lam = ParamMatrix(g, values)
-        if abs(np.linalg.det(np.eye(p) - lam.dense())) > 1e-8:
+        if abs(np.linalg.det(np.eye(p) - lam.dense())) > DET_TOL:
             return lam
     raise DegenerateParameters("no nonsingular draw in 100 attempts")
 

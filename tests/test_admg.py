@@ -8,22 +8,19 @@ from admgident import (
     MixedGraph,
     LatentFactorGraph,
     bidirected_connected_components,
-    causal_order,
     graph_from_json,
     graph_to_json,
     is_acyclic,
     latent_projection_bidirected,
-    relations,
 )
 from admgident.errors import (
-    CyclicGraph,
     DuplicateVertex,
     GraphFormatError,
     InvalidFactorGraph,
     SelfLoop,
     UnknownVertex,
 )
-from figures import confounded_diamond, iv_graph, k_cycle, two_cycle
+from figures import confounded_diamond, iv_graph, two_cycle
 
 
 @st.composite
@@ -65,57 +62,30 @@ class TestAcyclicityAndOrder:
     def test_empty_graph_acyclic(self):
         assert is_acyclic(MixedGraph(["v1", "v2", "v3"]))
 
-    def test_diamond_order(self):
-        assert causal_order(confounded_diamond()) == ("v1", "v2", "v3", "v4")
-
-    def test_single_vertex(self):
-        assert causal_order(MixedGraph(["v1"])) == ("v1",)
-
-    def test_three_cycle_has_no_order(self):
-        with pytest.raises(CyclicGraph):
-            causal_order(k_cycle(3))
-
-    def test_ties_broken_by_declaration_order(self):
-        g = MixedGraph(["b", "a", "c"], [("c", "a")])
-        assert causal_order(g) == ("b", "c", "a")
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_graphs())
-    def test_order_is_edge_respecting_permutation(self, g):
-        if not is_acyclic(g):
-            with pytest.raises(CyclicGraph):
-                causal_order(g)
-            return
-        order = causal_order(g)
-        assert sorted(order) == sorted(g.vertices)
-        pos = {v: i for i, v in enumerate(order)}
-        for u, v in g.directed:
-            assert pos[u] < pos[v]
-
 
 class TestRelations:
     def test_diamond_v4(self):
-        rel = relations(confounded_diamond(), "v4")
-        assert rel.pa == {"v2", "v3"}
-        assert rel.an == {"v1", "v2", "v3", "v4"}
-        assert rel.sib == {"v2", "v3"}
+        g = confounded_diamond()
+        assert g.parents("v4") == ("v2", "v3")
+        assert g.ancestors("v4") == {"v1", "v2", "v3", "v4"}
+        assert g.siblings("v4") == ("v2", "v3")
 
     def test_diamond_v1(self):
-        rel = relations(confounded_diamond(), "v1")
-        assert rel.pa == frozenset()
-        assert rel.an == {"v1"}
-        assert rel.sib_and_self == {"v1", "v2"}
+        g = confounded_diamond()
+        assert g.parents("v1") == ()
+        assert g.ancestors("v1") == {"v1"}
+        assert g.siblings("v1") == ("v2",)
 
     def test_isolated_vertex_trivial_paths(self):
         g = MixedGraph(["u", "w"], [], [])
-        rel = relations(g, "u")
-        assert rel.pa == frozenset() and rel.sib == frozenset()
-        assert rel.an == {"u"} and rel.de == {"u"}
+        assert g.parents("u") == () and g.children("u") == () and g.siblings("u") == ()
+        assert g.ancestors("u") == {"u"} and g.descendants("u") == {"u"}
 
     def test_unknown_vertex(self):
-        with pytest.raises(UnknownVertex):
-            relations(confounded_diamond(), "v9")
         g = confounded_diamond()
+        for lookup in (g.parents, g.children, g.siblings):
+            with pytest.raises(UnknownVertex):
+                lookup("v9")
         for lookup in (g.ancestors, g.descendants):
             for _ in range(2):  # a failed lookup stores nothing
                 with pytest.raises(UnknownVertex):
@@ -140,19 +110,18 @@ class TestRelations:
 
     def test_reachability_on_cyclic_graph(self):
         g = MixedGraph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3"), ("v3", "v2")])
-        rel = relations(g, "v2")
-        assert rel.an == {"v1", "v2", "v3"}
-        assert rel.de == {"v2", "v3"}
+        assert g.ancestors("v2") == {"v1", "v2", "v3"}
+        assert g.descendants("v2") == {"v2", "v3"}
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
     def test_genealogy_conventions(self, g):
         for v in g.vertices:
-            rel = relations(g, v)
-            assert rel.pa <= rel.an
-            assert v in rel.an and v in rel.de
-            for u in rel.sib:
-                assert v in relations(g, u).sib
+            assert set(g.parents(v)) <= g.ancestors(v)
+            assert set(g.children(v)) <= g.descendants(v)
+            assert v in g.ancestors(v) and v in g.descendants(v)
+            for u in g.siblings(v):
+                assert v in g.siblings(u)
 
 
 class TestBidirectedComponents:

@@ -115,7 +115,7 @@ class TestCheck:
     def test_two_cycle_verdict(self, tmp_path, capsys):
         path = tmp_path / "cycle.json"
         path.write_text(graph_to_json(two_cycle()))
-        assert main(["check", str(path), "--cyclic"]) == 0
+        assert main(["check", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["mode"] == "cycle-decomposition"
         assert doc["verdict"] == "not identifiable (2-cycle)"
@@ -166,7 +166,7 @@ class TestCheck:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("graph", ["diamond", "two_cycle"])
-    @pytest.mark.parametrize("cyclic", [[], ["--cyclic"]])
+    @pytest.mark.parametrize("cyclic", [[]])
     def test_known_without_edge_exit_2(self, graph, cyclic, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text(graph_to_json({"diamond": confounded_diamond, "two_cycle": two_cycle}[graph]()))
@@ -174,8 +174,12 @@ class TestCheck:
         assert capsys.readouterr().out == ""
 
     def test_edge_with_cyclic_flag_exit_2(self, diamond_file, capsys):
-        assert main(["check", diamond_file, "--edge", "v2,v4", "--cyclic"]) == 2
-        assert capsys.readouterr().out == ""
+        # There is no --cyclic flag: a cyclic graph is routed by `check` itself.
+        for argv in (["--cyclic"], ["--edge", "v2,v4", "--cyclic"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", diamond_file, *argv])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     def test_edge_on_cyclic_graph_exit_3(self, tmp_path, capsys):
         path = tmp_path / "cycle.json"
@@ -530,6 +534,16 @@ class TestEstimate:
         assert doc["converged"] is True
         assert doc["loss"] < 0.5
         assert set(doc["abs_errors"]) == {"v1->v2", "v2->v3"}
+
+    def test_vertex_names_holding_arrows(self, tmp_path, capsys):
+        # simulate writes the key "x->y->z" for the edge x->y -> z; estimate reads it back
+        graph, params, data = tmp_path / "g.json", str(tmp_path / "p.json"), str(tmp_path / "d.csv")
+        graph.write_text(graph_to_json(MixedGraph(["x->y", "z", "w"], [("x->y", "z"), ("z", "w")])))
+        assert main(["simulate", str(graph), "--n", "100", "--params-out", params, "--data-out", data]) == 0
+        capsys.readouterr()
+        assert main(["estimate", str(graph), data, "--init", "tv", "--true-params", params]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc["abs_errors"]) == {"x->y->z", "z->w"}
 
     def test_tv_init_requires_params(self, iv_file, tmp_path, capsys):
         data = tmp_path / "data.csv"

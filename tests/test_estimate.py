@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -602,7 +603,7 @@ class TestFit:
 
             monkeypatch.setattr(estimate, name, wrapper)
 
-        real_minimize = estimate.minimize
+        real_minimize = scipy.optimize.minimize
 
         def minimize(*args, **kwargs):
             scipy_results.append(real_minimize(*args, **kwargs))
@@ -615,7 +616,7 @@ class TestFit:
             calls["cross-covariance"] += subscripts == "in,jn->ij"
             return real_einsum(subscripts, *operands, **kwargs)
 
-        monkeypatch.setattr(estimate, "minimize", minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
         monkeypatch.setattr(np, "einsum", einsum)
         counted("_value_and_gradient")
         counted("_Layout")

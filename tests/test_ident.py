@@ -13,7 +13,6 @@ from admgident import (
     MixedGraph,
     brute_force_v_rank,
     build_flow_network,
-    causal_order,
     is_acyclic,
     cycle_decomposition_identifiable,
     cyclic_necessary_condition,
@@ -362,7 +361,8 @@ def _modular_v_ranks(g: MixedGraph, rng: random.Random) -> dict:
     """
     weight = {e: rng.randrange(MERSENNE_61) for e in g.directed}
     into = {}  # into[w][i]: summed weight of the directed paths from vertex i to w
-    for w in causal_order(g):
+    # a topological order: on a DAG u -> w implies an(u) is a proper subset of an(w)
+    for w in sorted(g.vertices, key=lambda w: len(g.ancestors(w))):
         row = [0] * g.num_vertices
         row[g.index(w)] = 1
         for u in g.parents(w):

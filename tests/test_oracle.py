@@ -56,9 +56,11 @@ class TestParamMatrix:
         assert dense[g.index("v2"), g.index("v1")] == 0.0
 
     def test_json_round_trip(self):
-        lam = diamond_params()
-        back = ParamMatrix.from_json(lam.graph, lam.to_json())
-        assert back.values == lam.values
+        # Keys are read against the graph's edges, so a vertex name may hold "->".
+        arrow = MixedGraph(["x->y", "z", "w"], [("x->y", "z"), ("z", "w")])
+        for lam in (diamond_params(), ParamMatrix(arrow, {("x->y", "z"): 1.5, ("z", "w"): -0.25})):
+            back = ParamMatrix.from_json(lam.graph, lam.to_json())
+            assert back.values == lam.values
 
 
 class TestPathMatrix:
