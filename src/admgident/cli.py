@@ -338,8 +338,9 @@ def cmd_simulate(args) -> int:
     kind = simulate.LAPLACE if args.dist == "laplace" else simulate.UNIFORM
     errors = simulate.sample_errors(g, simulate.ErrorModel(kind=kind), args.n, args.seed)
     data = simulate.generate_data(g, lam, errors)
+    params = lam.to_json()
     with open(args.params_out, "w", encoding="utf-8") as fh:
-        fh.write(lam.to_json())
+        fh.write(params)
     simulate.write_dataset(data, args.data_out)
     sys.stdout.write(
         json.dumps(

@@ -56,9 +56,16 @@ class ParamMatrix:
         return lam
 
     def to_json(self) -> str:
+        """The coefficients under "u->v" keys; two edges that render one key are a BindingMismatch."""
+        edges = {}
+        for u, v in self.graph.directed:
+            key = f"{u}->{v}"
+            first = edges.setdefault(key, (u, v))
+            if first != (u, v):
+                raise BindingMismatch(f"edges {first!r} and {(u, v)!r} both render as the parameter key {key!r}")
         doc = {
             "vertices": list(self.graph.vertices),
-            "edges": {f"{u}->{v}": self.values.get((u, v), 0.0) for u, v in self.graph.directed},
+            "edges": {key: self.values.get(edge, 0.0) for key, edge in edges.items()},
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -296,7 +303,7 @@ def fiber_dimension_modal(g: MixedGraph, v: str, pinned=(), seed: int = 0, draws
     pinned = g.sort_vertices(pinned)
     free = [w for w in g.parents(v) if w not in pinned]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return len(free) - _modal_rank(g, draw_b_stack(g, rng, draws), g.removable(v), free)
+    return len(free) - _modal_ranks(g, draw_b_stack(g, rng, draws), [(g.removable(v), free)])[0]
 
 
 def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
@@ -372,6 +379,11 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5, v_rank_fn=No
     return report["mismatches"]
 
 
+def _subsets(items):
+    """Every sub-tuple of `items`, by size, then in combinations order."""
+    return [sub for size in range(len(items) + 1) for sub in combinations(items, size)]
+
+
 def _check_dag(dag: MixedGraph, graphs, b_stack, v_rank_fn, flows: dict, report: dict):
     """Add the graphs, checks and mismatch records of `graphs` to `report`; see cross_check_graph.
 
@@ -388,10 +400,7 @@ def _check_dag(dag: MixedGraph, graphs, b_stack, v_rank_fn, flows: dict, report:
     count, arcs), which the whole sweep shares.  A substituted `v_rank_fn`
     is called for every (v, Q) instead.
     """
-    plan = []
-    for v in dag.vertices:
-        pa = dag.parents(v)
-        plan.append((v, [q for size in range(len(pa) + 1) for q in combinations(pa, size)]))
+    plan = [(v, _subsets(dag.parents(v))) for v in dag.vertices]
     ranks, columns = {}, {}
     for g in graphs:
         report["graphs"] += 1
@@ -408,7 +417,7 @@ def _check_dag(dag: MixedGraph, graphs, b_stack, v_rank_fn, flows: dict, report:
             for q, flow in zip(qs, column_flows):
                 key = (removable, q)
                 if key not in ranks:
-                    ranks[key] = _enum_rank(g, removable, q, ENUMERATION_CAP), _modal_rank(g, b_stack, removable, q)
+                    ranks[key] = _enum_rank(g, removable, q, ENUMERATION_CAP), _modal_ranks(g, b_stack, [key])[0]
                 enum, modal = ranks[key]
                 if not flow == enum == modal:
                     report["mismatches"].append(
@@ -425,15 +434,50 @@ def _check_dag(dag: MixedGraph, graphs, b_stack, v_rank_fn, flows: dict, report:
                     )
 
 
-def _modal_rank(g: MixedGraph, b_stack, removable, q) -> int:
-    """Most common numeric rank of the (q, removable) path-matrix block over the draws."""
-    if not removable or not q:
-        return 0
-    rows = [g.index(u) for u in q]
-    cols = [g.index(u) for u in removable]
-    blocks = b_stack[:, rows, :][:, :, cols]
-    ranks = _rank(np.linalg.svd(blocks, compute_uv=False))
-    return int(Counter(ranks.tolist()).most_common(1)[0][0])
+def _dag_agrees(dag: MixedGraph, b_stack, flows: dict) -> bool:
+    """Whether every check of every bidirected variant of `dag` agrees, building no variant.
+
+    Within one directed part a check is fixed by its key (v, removable(v), Q):
+    the column network reads nothing else, and the enumeration and modal
+    ranks read only (removable, Q).  Over all bidirected sets, removable(v)
+    takes exactly the values A - N for N a subset of v's strict ancestors A,
+    and the star {v <-> u : u in N} realises each.  So one `_Column` per
+    (v, N), built on the star, gives the flow of every key; the ranks are
+    taken once per (removable, Q) on the DAG, the modal ones batched.
+    """
+    key_flows = {}
+    for v in dag.vertices:
+        qs = _subsets(dag.parents(v))
+        for n in _subsets(dag.sort_vertices(dag.ancestors(v) - {v})):
+            col = _Column(MixedGraph(dag.vertices, dag.directed, [(v, u) for u in n]) if n else dag, v)
+            for q in qs:
+                key_flows.setdefault((col.removable, q), set()).add(col.rank(q, flows))
+    keys = list(key_flows)
+    return all(
+        key_flows[key] == {modal} and _enum_rank(dag, *key, ENUMERATION_CAP) == modal
+        for key, modal in zip(keys, _modal_ranks(dag, b_stack, keys))
+    )
+
+
+def _modal_ranks(g: MixedGraph, b_stack, keys) -> list:
+    """Most common numeric rank over the draws of each (removable, q) key's (q, removable) path-matrix block.
+
+    A key with an empty side has rank 0.  The blocks of one shape share one
+    SVD call over keys x draws; ties go to the rank drawn first.
+    """
+    out = [0] * len(keys)
+    shapes = {}
+    for k, (removable, q) in enumerate(keys):
+        if removable and q:
+            shapes.setdefault((len(q), len(removable)), []).append(k)
+    for ks in shapes.values():
+        rows = np.array([[g.index(u) for u in keys[k][1]] for k in ks])
+        cols = np.array([[g.index(u) for u in keys[k][0]] for k in ks])
+        # (draws, keys, |q|, |removable|) blocks, ranked per draw, then read per key.
+        blocks = b_stack[:, rows[:, :, None], cols[:, None, :]]
+        for k, ranks in zip(ks, _rank(np.linalg.svd(blocks, compute_uv=False)).T.tolist()):
+            out[k] = Counter(ranks).most_common(1)[0][0]
+    return out
 
 
 def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
@@ -451,11 +495,15 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
     """Exhaustive (p <= 4) plus sampled (p = 5, 6) triple-oracle agreement sweep.
 
     Returns {"graphs": count, "checks": count, "mismatches": [...]}.  On
-    p <= 4 vertices each directed part is checked once with all of its
-    bidirected variants, which share its parameter draws and the caches of
-    `_check_dag`.  Max flows are memoised for the whole sweep under the
-    built network, the solver's complete input, so each distinct network
-    is solved once.
+    p <= 4 vertices each directed part stands for its 2^C(p,2) bidirected
+    variants, which share its parameter draws.  `_dag_agrees` checks their
+    (v, removable, Q) keys without building them; the totals then follow
+    in closed form, 2^C(p,2) graphs with sum_v 2^|pa(v)| checks each.  A
+    directed part with a disagreeing key, or any part under a substituted
+    `v_rank_fn`, has its variants built and checked one by one through
+    `_check_dag`, which records the mismatches.  Max flows are memoised for
+    the whole sweep under the built network, the solver's complete input,
+    so each distinct network is solved once.
     """
 
     from .simulate import random_admg
@@ -464,14 +512,20 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
     flows = {}
     for p in range(1, min(max_vertices, 4) + 1):
         vertices = [f"v{i + 1}" for i in range(p)]
+        variants = 1 << p * (p - 1) // 2
         for dag_idx, dag in enumerate(all_dags(p)):
             base = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
+            b_stack = draw_b_stack(base, rng, 5)
+            if v_rank_fn is None and _dag_agrees(base, b_stack, flows):
+                report["graphs"] += variants
+                report["checks"] += variants * sum(1 << len(base.parents(v)) for v in vertices)
+                continue
             graphs = (
                 MixedGraph(vertices, base.directed, [(vertices[a], vertices[b]) for a, b in bid])
                 for bid in all_bidirected_sets(p)
             )
-            _check_dag(base, graphs, draw_b_stack(base, rng, 5), v_rank_fn, flows, report)
+            _check_dag(base, graphs, b_stack, v_rank_fn, flows, report)
     for p in range(5, max_vertices + 1):
         densities = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         for i in range(sample_count):

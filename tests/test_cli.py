@@ -545,6 +545,14 @@ class TestEstimate:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["abs_errors"]) == {"x->y->z", "z->w"}
 
+    def test_edges_rendering_one_parameter_key_exit_3_before_writing(self, tmp_path, capsys):
+        # a -> "b->c" and "a->b" -> c share the key "a->b->c": no file may be written, not even an empty one
+        graph, params, data = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "d.csv"
+        graph.write_text(graph_to_json(MixedGraph(["a", "b->c", "a->b", "c"], [("a", "b->c"), ("a->b", "c")])))
+        assert main(["simulate", str(graph), "--n", "10", "--params-out", str(params), "--data-out", str(data)]) == 3
+        assert "'a->b->c'" in capsys.readouterr().err
+        assert not params.exists() and not data.exists()
+
     def test_tv_init_requires_params(self, iv_file, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["simulate", iv_file, "--n", "100", "--seed", "5",

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from itertools import combinations
 
@@ -23,7 +24,7 @@ from admgident import (
     v_rank,
     verify_sweep,
 )
-from admgident import ident
+from admgident import ident, oracle
 from admgident.errors import (
     BindingMismatch,
     CyclicGraph,
@@ -61,6 +62,13 @@ class TestParamMatrix:
         for lam in (diamond_params(), ParamMatrix(arrow, {("x->y", "z"): 1.5, ("z", "w"): -0.25})):
             back = ParamMatrix.from_json(lam.graph, lam.to_json())
             assert back.values == lam.values
+
+    def test_edges_rendering_one_key_are_refused(self):
+        # a -> "b->c" and "a->b" -> c both render as "a->b->c"; neither coefficient may be dropped.
+        g = MixedGraph(["a", "b->c", "a->b", "c"], [("a", "b->c"), ("a->b", "c")])
+        lam = ParamMatrix(g, {("a", "b->c"): 1.0, ("a->b", "c"): 2.0})
+        with pytest.raises(BindingMismatch, match=r"\('a', 'b->c'\) and \('a->b', 'c'\).*'a->b->c'"):
+            lam.to_json()
 
 
 class TestPathMatrix:
@@ -431,3 +439,93 @@ class TestVerifySweep:
                 columns += len({key[:2] for key in networks})
                 networks_built += len(networks)
         assert (columns, networks_built) == (6553, 21937)
+
+    def test_bidirected_variants_realise_every_removable_set_and_stars_suffice(self):
+        # The key-space sweep rests on this: over the bidirected variants of a
+        # DAG, removable(v) takes exactly the values A - N for N a subset of
+        # v's strict ancestors A, and the star {v <-> u : u in N} gives A - N.
+        for p in range(1, 5):
+            vertices = [f"v{i + 1}" for i in range(p)]
+            for dag in all_dags(p):
+                base = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
+                directed = base.directed
+                seen = {v: set() for v in vertices}
+                for bid in all_bidirected_sets(p):
+                    g = MixedGraph(vertices, directed, [(vertices[a], vertices[b]) for a, b in bid])
+                    for v in vertices:
+                        seen[v].add(g.removable(v))
+                for v in vertices:
+                    anc = base.sort_vertices(base.ancestors(v) - {v})
+                    subsets = [n for size in range(len(anc) + 1) for n in combinations(anc, size)]
+                    assert seen[v] == {tuple(u for u in anc if u not in n) for n in subsets}
+                    for n in subsets:
+                        star = MixedGraph(vertices, directed, [(v, u) for u in n])
+                        assert star.removable(v) == tuple(u for u in anc if u not in n)
+
+    def test_key_space_totals_equal_the_per_graph_route(self):
+        # A substituted engine forces the per-graph loop over every variant.
+        fast = verify_sweep(3, 0)
+        slow = verify_sweep(3, 0, v_rank_fn=v_rank)
+        assert (fast["graphs"], fast["checks"], fast["mismatches"]) == (slow["graphs"], slow["checks"], [])
+
+    def test_broken_engine_records_equal_the_per_graph_route(self, monkeypatch):
+        # The per-graph route with an engine off by one on every non-empty Q,
+        # taken before the solver is broken, must give the very records that
+        # the key-space sweep gives through its per-DAG fallback.
+        expected = verify_sweep(3, 0, v_rank_fn=lambda g, v, q: v_rank(g, v, q) + bool(q))
+        self._count_solves(monkeypatch, broken=True)
+        got = verify_sweep(3, 0)
+        assert expected["mismatches"]
+        assert json.dumps(got) == json.dumps(expected)
+
+    def test_four_vertex_sweep_builds_no_variant_graph(self, monkeypatch):
+        # One base graph per DAG plus at most one star per (v, N): 572 + 6,553.
+        # The graphs that `all_dags` builds to test acyclicity are not counted.
+        builds, enumerating = [], []
+        build, dags = MixedGraph.__init__, oracle.all_dags
+
+        def counting_build(self, *args, **kwargs):
+            if not enumerating:
+                builds.append(args)
+            build(self, *args, **kwargs)
+
+        def quiet_dags(p):
+            enumerating.append(p)
+            try:
+                return dags(p)
+            finally:
+                enumerating.pop()
+
+        monkeypatch.setattr(MixedGraph, "__init__", counting_build)
+        monkeypatch.setattr(oracle, "all_dags", quiet_dags)
+        report = verify_sweep(4, 0)
+        assert (report["graphs"], report["checks"], report["mismatches"]) == (34959, 323121, [])
+        assert len(builds) <= 572 + 6553
+
+    def test_batched_modal_ranks_equal_the_per_key_mode(self):
+        # Every non-empty (removable, Q) key of every DAG with p <= 4, on the
+        # sweep's seeded draws; the reference takes one SVD per key.
+        keys_checked = 0
+        for p in range(1, 5):
+            vertices = [f"v{i + 1}" for i in range(p)]
+            for dag_idx, dag in enumerate(all_dags(p)):
+                g = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
+                rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(p, dag_idx)))
+                b_stack = oracle.draw_b_stack(g, rng, 5)
+                keys = set()
+                for v in vertices:
+                    anc = g.sort_vertices(g.ancestors(v) - {v})
+                    pa = g.parents(v)
+                    for r in range(1, len(anc) + 1):
+                        for removable in combinations(anc, r):
+                            for s in range(1, len(pa) + 1):
+                                keys.update((removable, q) for q in combinations(pa, s))
+                keys = sorted(keys)
+                expected = []
+                for removable, q in keys:
+                    block = b_stack[:, [g.index(u) for u in q], :][:, :, [g.index(u) for u in removable]]
+                    ranks = oracle._rank(np.linalg.svd(block, compute_uv=False))
+                    expected.append(Counter(ranks.tolist()).most_common(1)[0][0])
+                assert oracle._modal_ranks(g, b_stack, keys) == expected
+                keys_checked += len(keys)
+        assert keys_checked == 11122
