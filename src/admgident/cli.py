@@ -144,8 +144,11 @@ def cmd_check(args) -> int:
     if not acyclic:
         return _check_cyclic(args, g)
     if args.edge:
-        u, v = _parse_pair(args.edge)
-        known = [w.strip() for w in (args.known or "").split(",") if w.strip()]
+        edge = _split_names(g, args.edge)
+        if len(edge) != 2:
+            raise GraphFormatError(f"--edge expects 'u,v', got {args.edge!r}")
+        u, v = edge
+        known = [w for w in _split_names(g, args.known or "") if w]
         doc = {"edge": f"{u}->{v}", "identifiable": ident.is_identifiable_with_knowledge(g, v, (u,), known)}
         if args.known:
             doc["known"] = sorted(known)
@@ -202,11 +205,24 @@ def _render(args, doc, human_fn) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_pair(text: str):
-    parts = [w.strip() for w in text.split(",")]
-    if len(parts) != 2:
-        raise GraphFormatError(f"--edge expects 'u,v', got {text!r}")
-    return parts[0], parts[1]
+def _split_names(g, text: str) -> list:
+    """The comma list `text` as vertex names, which may themselves hold commas.
+
+    Parts are joined where that is the one way to read every item as a
+    vertex or a blank.  Otherwise the plain split stands, for the caller to
+    refuse; a plain split of vertices alone wins any tie.
+    """
+    parts = text.split(",")
+    names = set(g.vertices) | {""}
+    # readings[i] holds up to two readings of parts[i:], so the search stays quadratic.
+    readings = [[] for _ in parts] + [[[]]]
+    for i in reversed(range(len(parts))):
+        for j in range(i + 1, len(parts) + 1):
+            name = ",".join(parts[i:j]).strip()
+            if name in names:
+                readings[i] += [[name, *rest] for rest in readings[j]]
+        del readings[i][2:]
+    return readings[0][0] if len(readings[0]) == 1 else [w.strip() for w in parts]
 
 
 # -- flow ----------------------------------------------------------------------
@@ -218,7 +234,7 @@ def cmd_flow(args) -> int:
     if args.targets is None:
         q = g.parents(v)
     else:
-        q = [w.strip() for w in args.targets.split(",") if w.strip()]
+        q = [w for w in _split_names(g, args.targets) if w]
     net, value, flows, witness = ident.solved_flow_network(g, v, q)
     doc = {
         "nodes": list(net.nodes),
@@ -339,9 +355,10 @@ def cmd_simulate(args) -> int:
     errors = simulate.sample_errors(g, simulate.ErrorModel(kind=kind), args.n, args.seed)
     data = simulate.generate_data(g, lam, errors)
     params = lam.to_json()
-    with open(args.params_out, "w", encoding="utf-8") as fh:
-        fh.write(params)
-    simulate.write_dataset(data, args.data_out)
+    with simulate.all_or_none() as create:
+        with create(args.params_out) as fh:
+            fh.write(params)
+        simulate.write_dataset(data, args.data_out)
     sys.stdout.write(
         json.dumps(
             {"seed": args.seed, "n": args.n, "dist": args.dist, "params": args.params_out, "data": args.data_out},

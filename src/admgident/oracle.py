@@ -20,6 +20,7 @@ from .errors import (
     CyclicGraph,
     GraphFormatError,
     InvalidDrawCount,
+    NotAParentSubset,
     SingularMatrix,
     SizeMismatch,
     TooLarge,
@@ -263,45 +264,48 @@ def _rank(s: np.ndarray):
     return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
+def _free_parents(g: MixedGraph, v: str, pinned) -> list:
+    """pa(v) minus pinned, in declaration order; a pinned vertex outside pa(v) is a NotAParentSubset."""
+    pa = g.parents(v)
+    pinned = g.sort_vertices(pinned)
+    if not set(pinned) <= set(pa):
+        raise NotAParentSubset(pinned, v)
+    return [w for w in pa if w not in pinned]
+
+
 def system_matrix(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> np.ndarray:
     """Coefficient block of the column-v linear system, pinned columns removed.
 
     Rows are indexed by the removable ancestors of v, columns by the free
     parents pa(v) minus pinned; entry (u, w) sums path monomials u -> w.
+    Pinning a vertex outside pa(v) is a NotAParentSubset.
     """
-    free = [w for w in g.parents(v) if w not in set(pinned)]
-    removable = g.removable(v)
-    b = path_matrix(lam)
-    if not free or not removable:
-        return np.zeros((len(removable), len(free)))
-    cols = [g.index(w) for w in free]
-    rows = [g.index(u) for u in removable]
-    return b[np.ix_(cols, rows)].T
+    cols = [g.index(w) for w in _free_parents(g, v, pinned)]
+    rows = [g.index(u) for u in g.removable(v)]
+    return path_matrix(lam)[np.ix_(cols, rows)].T
 
 
 def fiber_dimension(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> int:
     """Dimension of the solution space for column v with pinned coordinates.
 
     Zero means the free coefficients into v are uniquely recoverable at this
-    parameter point.
+    parameter point.  Pinning a vertex outside pa(v) is a NotAParentSubset.
     """
     if not is_acyclic(g):
         raise CyclicGraph("fiber dimension is defined for acyclic bindings")
-    pinned = g.sort_vertices(pinned)
-    free = [w for w in g.parents(v) if w not in set(pinned)]
-    s = np.linalg.svd(system_matrix(g, lam, v, pinned), compute_uv=False)
-    return len(free) - int(_rank(s))
+    system = system_matrix(g, lam, v, pinned)
+    return system.shape[1] - int(_rank(np.linalg.svd(system, compute_uv=False)))
 
 
 def fiber_dimension_modal(g: MixedGraph, v: str, pinned=(), seed: int = 0, draws: int = 5) -> int:
     """Modal fiber dimension over several generic parameter draws.
 
     Guards against a single draw landing near the non-generic locus.
+    Pinning a vertex outside pa(v) is a NotAParentSubset.
     """
     if not is_acyclic(g):
         raise CyclicGraph("fiber dimension is defined for acyclic bindings")
-    pinned = g.sort_vertices(pinned)
-    free = [w for w in g.parents(v) if w not in pinned]
+    free = _free_parents(g, v, pinned)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return len(free) - _modal_ranks(g, draw_b_stack(g, rng, draws), [(g.removable(v), free)])[0]
 
@@ -311,10 +315,12 @@ def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
 
     Solves the column-v system with the k-coordinates fixed and inspects the
     null space: unique q-coordinates iff every null direction vanishes on q.
+    A q or k with a vertex outside pa(v) is a NotAParentSubset.
     """
     q = g.sort_vertices(q)
-    k = g.sort_vertices(k)
-    free = [w for w in g.parents(v) if w not in set(k)]
+    if not set(q) <= set(g.parents(v)):
+        raise NotAParentSubset(q, v)
+    free = _free_parents(g, v, k)
     _, s, vt = np.linalg.svd(system_matrix(g, lam, v, k))
     null_basis = vt[_rank(s):].T
     q_rows = [i for i, w in enumerate(free) if w in set(q)]
@@ -363,19 +369,19 @@ def all_bidirected_sets(p: int):
         yield tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
 
 
-def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5, v_rank_fn=None):
+def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5):
     """Compare flow rank, brute-force rank, and modal numeric rank on one acyclic graph.
 
     Checks every (v, Q) with Q a subset of pa(v); returns a list of mismatch
-    records (empty on agreement).  `v_rank_fn` may substitute the flow engine
-    under test.  The graph must be acyclic: the enumeration and the path
-    matrix count paths through v, which the flow network excludes.
+    records (empty on agreement).  The `v_rank_fn` engine hook is gone.  The
+    graph must be acyclic: the enumeration and the path matrix count paths
+    through v, which the flow network excludes.
     """
     if not is_acyclic(g):
         raise CyclicGraph("the triple-oracle check is defined for acyclic graphs")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     report = {"graphs": 0, "checks": 0, "mismatches": []}
-    _check_dag(g, [g], draw_b_stack(g, rng, draws), v_rank_fn, {}, report)
+    _check(g, False, draw_b_stack(g, rng, draws), {}, report)
     return report["mismatches"]
 
 
@@ -384,79 +390,47 @@ def _subsets(items):
     return [sub for size in range(len(items) + 1) for sub in combinations(items, size)]
 
 
-def _check_dag(dag: MixedGraph, graphs, b_stack, v_rank_fn, flows: dict, report: dict):
-    """Add the graphs, checks and mismatch records of `graphs` to `report`; see cross_check_graph.
+def _check(g: MixedGraph, variants: bool, b_stack, flows: dict, report: dict):
+    """Add the graphs, checks and mismatch records of g to `report`; see cross_check_graph.
 
-    Every graph has the directed part of `dag`, which fixes the plan (each
-    v with the Q-subsets of pa(v)) and so the checks.  Two caches serve them
-    all and end with the call.  `ranks` maps (removable, Q), removable being
-    `g.removable(v)`, to the (enumeration, modal) ranks, which depend only
-    on that key, the directed part and `b_stack`.  `columns` maps
-    (v, removable) to the max flow of each Q of the plan: the column
-    network of (v, Q) takes its nodes, split arcs and directed arcs from the
-    directed part, its source arcs from removable and its sink arcs from Q,
-    so one `_Column` serves every graph with that key.  It looks each
-    network up in `flows`, keyed on the solver's complete input (node
-    count, arcs), which the whole sweep shares.  A substituted `v_rank_fn`
-    is called for every (v, Q) instead.
+    With `variants` the DAG g stands for its 2^C(p,2) bidirected variants,
+    else for itself.  A check is fixed by its key (v, removable, Q): the
+    column network reads nothing else of g's directed part, the ranks only
+    (removable, Q).  Over the variants removable(v) takes exactly the sets
+    A - N, N inside v's strict ancestors A, and the star {v <-> u : u in N}
+    realises each; so one `_Column` per (v, N) gives every key's flow, read
+    from the sweep-wide `flows` memo.  Graphs are built only to record the
+    failing (v, Q) of a disagreeing key, from the key table.
     """
-    plan = [(v, _subsets(dag.parents(v))) for v in dag.vertices]
-    ranks, columns = {}, {}
-    for g in graphs:
-        report["graphs"] += 1
-        for v, qs in plan:
-            report["checks"] += len(qs)
-            removable = g.removable(v)
-            if v_rank_fn is not None:
-                column_flows = [v_rank_fn(g, v, q) for q in qs]
-            else:
-                if (v, removable) not in columns:
-                    col = _Column(g, v)
-                    columns[v, removable] = [col.rank(q, flows) for q in qs]
-                column_flows = columns[v, removable]
-            for q, flow in zip(qs, column_flows):
-                key = (removable, q)
-                if key not in ranks:
-                    ranks[key] = _enum_rank(g, removable, q, ENUMERATION_CAP), _modal_ranks(g, b_stack, [key])[0]
-                enum, modal = ranks[key]
-                if not flow == enum == modal:
-                    report["mismatches"].append(
-                        {
-                            "vertices": list(g.vertices),
-                            "directed": [list(e) for e in g.directed],
-                            "bidirected": [list(e) for e in g.bidirected],
-                            "v": v,
-                            "q": list(q),
-                            "flow": flow,
-                            "enumeration": enum,
-                            "numeric_rank": modal,
-                        }
-                    )
-
-
-def _dag_agrees(dag: MixedGraph, b_stack, flows: dict) -> bool:
-    """Whether every check of every bidirected variant of `dag` agrees, building no variant.
-
-    Within one directed part a check is fixed by its key (v, removable(v), Q):
-    the column network reads nothing else, and the enumeration and modal
-    ranks read only (removable, Q).  Over all bidirected sets, removable(v)
-    takes exactly the values A - N for N a subset of v's strict ancestors A,
-    and the star {v <-> u : u in N} realises each.  So one `_Column` per
-    (v, N), built on the star, gives the flow of every key; the ranks are
-    taken once per (removable, Q) on the DAG, the modal ones batched.
-    """
-    key_flows = {}
-    for v in dag.vertices:
-        qs = _subsets(dag.parents(v))
-        for n in _subsets(dag.sort_vertices(dag.ancestors(v) - {v})):
-            col = _Column(MixedGraph(dag.vertices, dag.directed, [(v, u) for u in n]) if n else dag, v)
+    vs, p = g.vertices, g.num_vertices
+    plan = [(v, _subsets(g.parents(v))) for v in vs]
+    table = {}
+    for v, qs in plan:
+        stars = _subsets(g.sort_vertices(g.ancestors(v) - {v})) if variants else [()]
+        for n in stars:
+            col = _Column(MixedGraph(vs, g.directed, [(v, u) for u in n]) if n else g, v)
             for q in qs:
-                key_flows.setdefault((col.removable, q), set()).add(col.rank(q, flows))
-    keys = list(key_flows)
-    return all(
-        key_flows[key] == {modal} and _enum_rank(dag, *key, ENUMERATION_CAP) == modal
-        for key, modal in zip(keys, _modal_ranks(dag, b_stack, keys))
-    )
+                table[v, col.removable, q] = col.rank(q, flows)
+    keys = list(dict.fromkeys(key[1:] for key in table))
+    modals = _modal_ranks(g, b_stack, keys)
+    ranks = {key: (_enum_rank(g, *key, ENUMERATION_CAP), modal) for key, modal in zip(keys, modals)}
+    count = 1 << p * (p - 1) // 2 if variants else 1
+    report["graphs"] += count
+    report["checks"] += count * sum(len(qs) for _, qs in plan)
+    if all((flow, flow) == ranks[key[1:]] for key, flow in table.items()):
+        return
+    graphs = [g]
+    if variants:
+        graphs = (MixedGraph(vs, g.directed, [(vs[a], vs[b]) for a, b in bid]) for bid in all_bidirected_sets(p))
+    for h in graphs:
+        for v, qs in plan:
+            removable = h.removable(v)
+            for q in qs:
+                flow, (enum, modal) = table[v, removable, q], ranks[removable, q]
+                if not flow == enum == modal:
+                    edges = {"directed": [list(e) for e in h.directed], "bidirected": [list(e) for e in h.bidirected]}
+                    values = {"flow": flow, "enumeration": enum, "numeric_rank": modal}
+                    report["mismatches"].append({"vertices": list(vs), **edges, "v": v, "q": list(q), **values})
 
 
 def _modal_ranks(g: MixedGraph, b_stack, keys) -> list:
@@ -491,19 +465,16 @@ def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
     return stack
 
 
-def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000, v_rank_fn=None):
+def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000):
     """Exhaustive (p <= 4) plus sampled (p = 5, 6) triple-oracle agreement sweep.
 
     Returns {"graphs": count, "checks": count, "mismatches": [...]}.  On
     p <= 4 vertices each directed part stands for its 2^C(p,2) bidirected
-    variants, which share its parameter draws.  `_dag_agrees` checks their
-    (v, removable, Q) keys without building them; the totals then follow
-    in closed form, 2^C(p,2) graphs with sum_v 2^|pa(v)| checks each.  A
-    directed part with a disagreeing key, or any part under a substituted
-    `v_rank_fn`, has its variants built and checked one by one through
-    `_check_dag`, which records the mismatches.  Max flows are memoised for
-    the whole sweep under the built network, the solver's complete input,
-    so each distinct network is solved once.
+    variants, which share its parameter draws; each sampled graph stands
+    for itself.  `_check` decides every check from its (v, removable, Q) key.
+    Max flows are memoised for the whole sweep under the built network, the
+    solver's complete input, so each distinct network is solved once.  The
+    `v_rank_fn` engine hook is gone; tests patch the solver instead.
     """
 
     from .simulate import random_admg
@@ -512,24 +483,14 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000,
     flows = {}
     for p in range(1, min(max_vertices, 4) + 1):
         vertices = [f"v{i + 1}" for i in range(p)]
-        variants = 1 << p * (p - 1) // 2
         for dag_idx, dag in enumerate(all_dags(p)):
             base = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
-            b_stack = draw_b_stack(base, rng, 5)
-            if v_rank_fn is None and _dag_agrees(base, b_stack, flows):
-                report["graphs"] += variants
-                report["checks"] += variants * sum(1 << len(base.parents(v)) for v in vertices)
-                continue
-            graphs = (
-                MixedGraph(vertices, base.directed, [(vertices[a], vertices[b]) for a, b in bid])
-                for bid in all_bidirected_sets(p)
-            )
-            _check_dag(base, graphs, b_stack, v_rank_fn, flows, report)
+            _check(base, True, draw_b_stack(base, rng, 5), flows, report)
     for p in range(5, max_vertices + 1):
         densities = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         for i in range(sample_count):
             g = random_admg(p, densities[i % len(densities)], seed=seed * 100003 + i)
             rng = np.random.default_rng(np.random.SeedSequence(seed + i))
-            _check_dag(g, [g], draw_b_stack(g, rng, 5), v_rank_fn, flows, report)
+            _check(g, False, draw_b_stack(g, rng, 5), flows, report)
     return report

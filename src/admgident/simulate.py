@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,16 +277,36 @@ def empirical_cumulant(ds: Dataset, indices) -> float:
 # -- CSV + provenance sidecar --------------------------------------------------
 
 
+@contextmanager
+def all_or_none():
+    """Yield an `open` for writing; if the block raises, remove what it opened (not a path it failed to), re-raise."""
+    opened = []
+
+    def create(path):
+        fh = open(path, "w", newline="", encoding="utf-8")
+        opened.append(path)
+        return fh
+
+    try:
+        yield create
+    except BaseException:
+        for path in opened:
+            with suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def write_dataset(ds: Dataset, path: str) -> None:
-    """CSV with a vertex-id header row plus a .meta.json provenance sidecar."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.columns)
-        for row in ds.values:
-            writer.writerow([repr(float(x)) for x in row])
-    with open(_meta_path(path), "w", encoding="utf-8") as fh:
-        json.dump(ds.provenance, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """CSV with a vertex-id header row plus a .meta.json provenance sidecar; both or neither are left."""
+    with all_or_none() as create:
+        with create(path) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(ds.columns)
+            for row in ds.values:
+                writer.writerow([repr(float(x)) for x in row])
+        with create(_meta_path(path)) as fh:
+            json.dump(ds.provenance, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def read_dataset(path: str) -> Dataset:

@@ -165,6 +165,34 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, code, needle",
+        [
+            # every part is a vertex: the plain split stands, though "a,b" is one too
+            (["check", "{g}", "--edge", "a,b"], 0, '"edge": "a->b"'),
+            (["check", "{g}", "--edge", "x,y,c", "--known", "a,b"], 0, '"known": [\n    "a",\n    "b"\n  ]'),
+            # one reading joins neighbouring parts into vertices
+            (["check", "{g}", "--edge", "x,y,c"], 0, '"edge": "x,y->c"'),
+            (["check", "{g}", "--edge", "a,c", "--known", "x,y"], 0, '"known": [\n    "x,y"\n  ]'),
+            (["flow", "{g}", "--node", "c", "--set", "x,y, a"], 0, '"x,y.out",\n      "t"'),
+            # two readings, or none: the plain split's error, as for any unknown name
+            (["check", "{g}", "--edge", "p,q,r"], 2, "expects 'u,v'"),
+            (["flow", "{g}", "--node", "c", "--set", "x,y,a,b"], 3, "vertex 'x'"),
+            (["check", "{g}", "--edge", "x,c"], 3, "vertex 'x'"),
+        ],
+        ids=[
+            "plain-edge", "plain-known", "joined-edge", "joined-known", "joined-set",
+            "two-readings", "two-readings-set", "no-reading",
+        ],
+    )
+    def test_vertex_names_holding_commas(self, argv, code, needle, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        directed = [("a", "b"), ("a", "c"), ("b", "c"), ("a,b", "c"), ("x,y", "c"), ("p", "q,r"), ("p,q", "r")]
+        path.write_text(graph_to_json(MixedGraph(["a", "b", "a,b", "x,y", "p", "p,q", "q,r", "r", "c"], directed)))
+        assert main([arg.format(g=path) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert needle in (captured.err if code else captured.out)
+
     @pytest.mark.parametrize("graph", ["diamond", "two_cycle"])
     @pytest.mark.parametrize("cyclic", [[]])
     def test_known_without_edge_exit_2(self, graph, cyclic, tmp_path, capsys):
@@ -479,6 +507,22 @@ class TestSimulate:
             ["simulate", iv_file, "--n", "0", "--params-out", str(tmp_path / "p.json"),
              "--data-out", str(tmp_path / "d.csv")]
         ) == 2
+
+    @pytest.mark.parametrize("failing", ["params", "data", "sidecar"])
+    def test_failed_write_leaves_no_output_file(self, failing, iv_file, tmp_path, capsys):
+        # Whichever output cannot be opened, the run exits 2 and removes what it
+        # wrote; a sidecar path taken by a directory stays as it was.
+        params, data, sidecar = tmp_path / "p.json", tmp_path / "d.csv", tmp_path / "d.csv.meta.json"
+        if failing == "params":
+            params = tmp_path / "nodir" / "p.json"
+        elif failing == "data":
+            data = tmp_path / "nodir" / "d.csv"
+        else:
+            sidecar.mkdir()
+        assert main(["simulate", iv_file, "--n", "5", "--params-out", str(params), "--data-out", str(data)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not params.exists() and not data.exists()
+        assert sidecar.is_dir() if failing == "sidecar" else not sidecar.exists()
 
     def test_seed_reproducibility_byte_for_byte(self, iv_file, tmp_path):
         paths = []

@@ -17,6 +17,7 @@ from admgident import (
     fiber_dimension_modal,
     fiber_q_unique,
     gvl_check,
+    is_identifiable_with_knowledge,
     nongeneric_locus_check,
     path_matrix,
     random_admg,
@@ -29,6 +30,7 @@ from admgident.errors import (
     BindingMismatch,
     CyclicGraph,
     InvalidDrawCount,
+    NotAParentSubset,
     SingularMatrix,
     SizeMismatch,
     TooLarge,
@@ -287,6 +289,26 @@ class TestFiber:
         lam = generic_parameters(g, np.random.default_rng(15))
         assert fiber_dimension(g, lam, "v2", pinned=["v1"]) == 0
 
+    # v1 is an ancestor of v4 on the confounded diamond but not a parent, so
+    # it names no coordinate of column v4; `is_identifiable_with_knowledge`
+    # refuses the same input.
+    def test_dimension_refuses_a_pinned_non_parent(self):
+        lam = generic_parameters(confounded_diamond(), np.random.default_rng(16))
+        with pytest.raises(NotAParentSubset):
+            fiber_dimension(lam.graph, lam, "v4", pinned=["v1"])
+
+    def test_modal_dimension_refuses_a_pinned_non_parent(self):
+        with pytest.raises(NotAParentSubset):
+            fiber_dimension_modal(confounded_diamond(), "v4", pinned=["v1"])
+
+    def test_q_unique_refuses_a_non_parent_in_q_or_k(self):
+        lam = generic_parameters(confounded_diamond(), np.random.default_rng(17))
+        for q, k in ((["v1"], ()), (["v2"], ["v1"])):
+            with pytest.raises(NotAParentSubset):
+                fiber_q_unique(lam.graph, lam, "v4", q, k)
+        with pytest.raises(NotAParentSubset):
+            is_identifiable_with_knowledge(lam.graph, "v4", ["v1"], ())
+
     def test_fiber_matches_flow_rank(self):
         for seed in range(25):
             g = random_admg(4, 0.6, seed)
@@ -343,13 +365,10 @@ class TestBruteForce:
             g = random_admg(4, 0.7, seed)
             assert cross_check_graph(g, seed=seed) == []
 
-    def test_injected_fault_is_caught(self):
+    def test_injected_fault_is_caught(self, monkeypatch):
         g = confounded_diamond()
-
-        def broken(graph, v, q):
-            return min(len(q), v_rank(graph, v, q) + 1)
-
-        mismatches = cross_check_graph(g, seed=0, v_rank_fn=broken)
+        count_solves(monkeypatch, broken=True)
+        mismatches = cross_check_graph(g, seed=0)
         assert mismatches
         assert {"v", "q", "flow", "enumeration", "numeric_rank"} <= set(mismatches[0])
 
@@ -361,28 +380,89 @@ class TestBruteForce:
             cross_check_graph(g)
 
 
+def count_solves(monkeypatch, broken=False):
+    """Count `_Dinic.max_flow` calls; `broken` adds 1 to every network with a sink arc."""
+    solves = []
+    solve = ident._Dinic.max_flow
+
+    def counting_solve(self, s, t):
+        solves.append((s, t))
+        return solve(self, s, t) + (broken and bool(self.adj[t]))
+
+    monkeypatch.setattr(ident._Dinic, "max_flow", counting_solve)
+    return solves
+
+
+def per_key_modal_rank(g, b_stack, removable, q):
+    """Most common numeric rank of the (q, removable) path-matrix block over the draws, one SVD per key."""
+    if not (removable and q):
+        return 0
+    block = b_stack[:, [g.index(u) for u in q], :][:, :, [g.index(u) for u in removable]]
+    ranks = oracle._rank(np.linalg.svd(block, compute_uv=False))
+    return Counter(ranks.tolist()).most_common(1)[0][0]
+
+
+def reference_report(graphs):
+    """The verify report of (graph, draws) pairs, one check at a time.
+
+    Each (v, Q) takes its flow from `v_rank`, its enumeration from
+    `brute_force_v_rank` and its modal rank from one SVD per key, on the
+    graph itself, so no key table or memo is shared.
+    """
+    report = {"graphs": 0, "checks": 0, "mismatches": []}
+    for g, b_stack in graphs:
+        report["graphs"] += 1
+        for v in g.vertices:
+            pa = g.parents(v)
+            for q in (q for size in range(len(pa) + 1) for q in combinations(pa, size)):
+                report["checks"] += 1
+                flow, enum = v_rank(g, v, q), brute_force_v_rank(g, v, q)
+                modal = per_key_modal_rank(g, b_stack, g.removable(v), q)
+                if not flow == enum == modal:
+                    report["mismatches"].append(
+                        {
+                            "vertices": list(g.vertices),
+                            "directed": [list(e) for e in g.directed],
+                            "bidirected": [list(e) for e in g.bidirected],
+                            "v": v,
+                            "q": list(q),
+                            "flow": flow,
+                            "enumeration": enum,
+                            "numeric_rank": modal,
+                        }
+                    )
+    return report
+
+
+def exhaustive_graphs(max_vertices, seed):
+    """Every bidirected variant of every DAG on up to 4 vertices, with its DAG's draws, in sweep order."""
+    for p in range(1, max_vertices + 1):
+        vertices = [f"v{i + 1}" for i in range(p)]
+        for dag_idx, dag in enumerate(all_dags(p)):
+            base = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
+            b_stack = oracle.draw_b_stack(base, rng, 5)
+            for bid in all_bidirected_sets(p):
+                yield MixedGraph(vertices, base.directed, [(vertices[a], vertices[b]) for a, b in bid]), b_stack
+
+
+def sampled_graphs(p, seed, count):
+    """The sweep's sampled graphs on p > 4 vertices, each with its own draws."""
+    densities = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    for i in range(count):
+        g = random_admg(p, densities[i % len(densities)], seed=seed * 100003 + i)
+        yield g, oracle.draw_b_stack(g, np.random.default_rng(np.random.SeedSequence(seed + i)), 5)
+
+
 class TestVerifySweep:
-    @staticmethod
-    def _count_solves(monkeypatch, broken=False):
-        """Count `_Dinic.max_flow` calls; `broken` adds 1 to every network with a sink arc."""
-        solves = []
-        solve = ident._Dinic.max_flow
-
-        def counting_solve(self, s, t):
-            solves.append((s, t))
-            return solve(self, s, t) + (broken and bool(self.adj[t]))
-
-        monkeypatch.setattr(ident._Dinic, "max_flow", counting_solve)
-        return solves
-
     def test_one_solve_per_distinct_network(self, monkeypatch):
-        solves = self._count_solves(monkeypatch)
+        solves = count_solves(monkeypatch)
         report = verify_sweep(3, 0)
         assert (report["graphs"], report["checks"], report["mismatches"]) == (207, 1073, [])
         assert len(solves) == 56
 
     def test_broken_engine_is_caught_through_the_memo(self, monkeypatch):
-        self._count_solves(monkeypatch, broken=True)
+        count_solves(monkeypatch, broken=True)
         report = verify_sweep(3, 0)
         # Every check with a non-empty Q has a sink arc and must disagree; the
         # empty Q, one per (graph, v) over 1 + 6 + 200 graphs on 1, 2, 3
@@ -390,21 +470,26 @@ class TestVerifySweep:
         assert len(report["mismatches"]) == 1073 - (1 * 1 + 6 * 2 + 200 * 3)
         assert all(m["q"] and m["flow"] == m["enumeration"] + 1 for m in report["mismatches"])
 
-    def test_substituted_engine_sees_every_check(self, monkeypatch):
-        solves = self._count_solves(monkeypatch)
-        calls = []
+    @pytest.mark.parametrize("field", ["enumeration", "numeric_rank"])
+    def test_broken_rank_oracle_is_caught(self, field, monkeypatch):
+        # One rank oracle off by one on every non-empty Q, the flow engine
+        # sound: the same checks as for a broken engine must disagree.
+        if field == "enumeration":
+            enum = oracle._enum_rank
+            monkeypatch.setattr(oracle, "_enum_rank", lambda g, removable, q, cap: enum(g, removable, q, cap) + bool(q))
+        else:
+            modal = oracle._modal_ranks
 
-        def engine(g, v, q):
-            calls.append((g, v, q))
-            return v_rank(g, v, q)
+            def broken_modal(g, b_stack, keys):
+                return [r + bool(q) for r, (_, q) in zip(modal(g, b_stack, keys), keys)]
 
-        report = verify_sweep(3, 0, v_rank_fn=engine)
-        assert report["mismatches"] == []
-        assert len(calls) == report["checks"] == 1073
-        assert len(solves) == 1073
+            monkeypatch.setattr(oracle, "_modal_ranks", broken_modal)
+        report = verify_sweep(3, 0)
+        assert len(report["mismatches"]) == 1073 - (1 * 1 + 6 * 2 + 200 * 3)
+        assert all(m["q"] and m[field] == m["flow"] + 1 for m in report["mismatches"])
 
     def test_four_vertex_sweep_builds_one_column_per_dag_and_removable_set(self, monkeypatch):
-        solves = self._count_solves(monkeypatch)
+        solves = count_solves(monkeypatch)
         builds = []
         build = ident._Column.__init__
 
@@ -463,20 +548,28 @@ class TestVerifySweep:
                         assert star.removable(v) == tuple(u for u in anc if u not in n)
 
     def test_key_space_totals_equal_the_per_graph_route(self):
-        # A substituted engine forces the per-graph loop over every variant.
-        fast = verify_sweep(3, 0)
-        slow = verify_sweep(3, 0, v_rank_fn=v_rank)
-        assert (fast["graphs"], fast["checks"], fast["mismatches"]) == (slow["graphs"], slow["checks"], [])
+        expected = reference_report(exhaustive_graphs(3, 0))
+        assert expected["mismatches"] == []
+        assert verify_sweep(3, 0) == expected
 
     def test_broken_engine_records_equal_the_per_graph_route(self, monkeypatch):
-        # The per-graph route with an engine off by one on every non-empty Q,
-        # taken before the solver is broken, must give the very records that
-        # the key-space sweep gives through its per-DAG fallback.
-        expected = verify_sweep(3, 0, v_rank_fn=lambda g, v, q: v_rank(g, v, q) + bool(q))
-        self._count_solves(monkeypatch, broken=True)
-        got = verify_sweep(3, 0)
+        # With the solver off by one on every non-empty Q, the sweep must
+        # write, from its key table, the very records of the check-by-check
+        # reference over every variant graph.
+        count_solves(monkeypatch, broken=True)
+        expected = reference_report(exhaustive_graphs(3, 0))
         assert expected["mismatches"]
-        assert json.dumps(got) == json.dumps(expected)
+        assert all(m["q"] and m["flow"] == m["enumeration"] + 1 for m in expected["mismatches"])
+        assert json.dumps(verify_sweep(3, 0)) == json.dumps(expected)
+
+    def test_broken_engine_records_on_sampled_graphs_equal_the_per_graph_route(self, monkeypatch):
+        # The sampled p = 5 graphs alone: with no DAG to enumerate, the sweep
+        # runs only its sampled part.
+        count_solves(monkeypatch, broken=True)
+        monkeypatch.setattr(oracle, "all_dags", lambda p: [])
+        expected = reference_report(sampled_graphs(5, 0, 36))
+        assert expected["graphs"] == 36 and expected["mismatches"]
+        assert json.dumps(verify_sweep(5, 0, 36)) == json.dumps(expected)
 
     def test_four_vertex_sweep_builds_no_variant_graph(self, monkeypatch):
         # One base graph per DAG plus at most one star per (v, N): 572 + 6,553.
@@ -521,11 +614,7 @@ class TestVerifySweep:
                             for s in range(1, len(pa) + 1):
                                 keys.update((removable, q) for q in combinations(pa, s))
                 keys = sorted(keys)
-                expected = []
-                for removable, q in keys:
-                    block = b_stack[:, [g.index(u) for u in q], :][:, :, [g.index(u) for u in removable]]
-                    ranks = oracle._rank(np.linalg.svd(block, compute_uv=False))
-                    expected.append(Counter(ranks.tolist()).most_common(1)[0][0])
+                expected = [per_key_modal_rank(g, b_stack, removable, q) for removable, q in keys]
                 assert oracle._modal_ranks(g, b_stack, keys) == expected
                 keys_checked += len(keys)
         assert keys_checked == 11122
