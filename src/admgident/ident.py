@@ -55,17 +55,19 @@ class _Column:
 
     Node 0 is the source, node 1 the sink, and nodes 2i + 2 and 2i + 3 the
     in- and out-node of the i-th strict ancestor of v, in ancestor-mask bit
-    order.  Arcs run `head` (split, then source arcs in `g.removable(v)`
-    order), sink arcs (q order), then `tail` (directed edges, `g.directed`
-    order); Dinic's tie-breaks, and so the witnesses, follow this order.
+    order.  Arcs run `head` (split, then source arcs in `removable` order),
+    sink arcs (q order), then `tail` (directed edges, `g.directed` order);
+    Dinic's tie-breaks, and so the witnesses, follow this order.
+    `removable` is `g.removable(v)`, or the removable set v has in another
+    graph with g's directed edges.
     """
 
-    def __init__(self, g: MixedGraph, v: str):
+    def __init__(self, g: MixedGraph, v: str, removable: tuple):
         self.g, self.v, self.i = g, v, g.index(v)
         self.anc = g._names(g._an_mask(self.i) & ~(1 << self.i))
         self.n = 2 * len(self.anc) + 2
         self.node_in = node_in = {u: 2 * i + 2 for i, u in enumerate(self.anc)}
-        self.removable = g.removable(v)
+        self.removable = removable
         self.big_m = big_m = g.num_vertices + 1
         self.head = [(node_in[u], node_in[u] + 1, 1) for u in self.anc]
         self.head += [(0, node_in[u], big_m) for u in self.removable]
@@ -148,7 +150,7 @@ def build_flow_network(g: MixedGraph, v: str, q) -> FlowNetwork:
     removable ancestors, q drains into the sink, and the directed edges of g
     with both endpoints among the ancestors are kept.
     """
-    col = _Column(g, v)
+    col = _Column(g, v, g.removable(v))
     return col.named(col.arcs(q)[1])
 
 
@@ -243,13 +245,13 @@ def max_flow(net: FlowNetwork) -> int:
 
 def solved_flow_network(g: MixedGraph, v: str, q):
     """`build_flow_network`, its max flow, per-arc flows in arc order and `witness_paths`, from one solve."""
-    solved = _Column(g, v).solve(q)
+    solved = _Column(g, v, g.removable(v)).solve(q)
     return solved.column.named(solved.arcs), solved.rank, solved.flows, solved.paths()
 
 
 def v_rank(g: MixedGraph, v: str, q) -> int:
     """Largest vertex-disjoint path system from the removable ancestors into q."""
-    return _Column(g, v).solve(q).rank
+    return _Column(g, v, g.removable(v)).solve(q).rank
 
 
 def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
@@ -261,7 +263,7 @@ def witness_paths(g: MixedGraph, v: str, q) -> tuple[tuple[str, ...], ...]:
     along saturated arcs; ties follow declaration order.  There is one path
     per flow unit, so the number of paths is the v-rank of q.
     """
-    return _Column(g, v).solve(q).paths()
+    return _Column(g, v, g.removable(v)).solve(q).paths()
 
 
 def is_identifiable(g: MixedGraph, v: str, q) -> bool:
@@ -290,7 +292,7 @@ def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
         raise NotAParentSubset(q, v)
     if not set(k) <= pa:
         raise NotAParentSubset(k, v)
-    solved = _Column(g, v).solve(pa - set(k))
+    solved = _Column(g, v, g.removable(v)).solve(pa - set(k))
     return all(solved.coloop(u) for u in q if u not in k)
 
 
@@ -355,7 +357,7 @@ def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
             columns[v] = ColumnVerdict(removable, len(pa), True, tuple((u,) for u in pa))
             verdicts.update(((u, v), True) for u in pa)
             continue
-        solved = _Column(g, v).solve(pa)
+        solved = _Column(g, v, removable).solve(pa)
         ok = solved.rank == len(pa)
         columns[v] = ColumnVerdict(
             removable=removable,
@@ -380,9 +382,9 @@ def _full_rank_by_sizes(pa, removable):
 
 def _column_full_rank(g: MixedGraph, v: str) -> bool:
     """Whether the v-rank of pa(v) reaches |pa(v)|: by `_full_rank_by_sizes`, else by one solve."""
-    pa = g.parents(v)
-    full = _full_rank_by_sizes(pa, g.removable(v))
-    return full if full is not None else _Column(g, v).solve(pa).rank == len(pa)
+    pa, removable = g.parents(v), g.removable(v)
+    full = _full_rank_by_sizes(pa, removable)
+    return full if full is not None else _Column(g, v, removable).solve(pa).rank == len(pa)
 
 
 def matrix_generically_identifiable(g: MixedGraph) -> bool:

@@ -98,19 +98,24 @@ def path_matrix(lam: ParamMatrix) -> np.ndarray:
     which the rank tolerances downstream rely on.  Cyclic bindings invert
     numerically and raise SingularMatrix near det(I - Lambda) = 0.
     """
-    p = lam.graph.num_vertices
     dense = lam.dense()
     if is_acyclic(lam.graph):
-        power = np.eye(p)
-        total = np.eye(p)
-        for _ in range(p - 1):
-            power = power @ dense
-            total += power
-        return total.T
-    a = np.eye(p) - dense
+        return _power_sum(dense)
+    a = np.eye(lam.graph.num_vertices) - dense
     if abs(np.linalg.det(a)) < DET_TOL:
         raise SingularMatrix("det(I - Lambda) is numerically zero")
     return np.linalg.inv(a.T)
+
+
+def _power_sum(dense: np.ndarray) -> np.ndarray:
+    """(I + L + ... + L^(p-1))^T for a nilpotent p x p L, or per matrix of a stack of them."""
+    p = dense.shape[-1]
+    power = np.eye(p)
+    total = power + np.zeros_like(dense)
+    for _ in range(p - 1):
+        power = power @ dense
+        total += power
+    return np.swapaxes(total, -1, -2)
 
 
 def enumerate_path_systems(g: MixedGraph, sources, targets, cap: int = ENUMERATION_CAP):
@@ -172,19 +177,22 @@ def brute_force_v_rank(g: MixedGraph, v: str, q, cap: int = ENUMERATION_CAP) -> 
     """Max size of a vertex-disjoint path system from removable ancestors into q.
 
     Exhaustive over subset pairs, largest size first; independent of the flow
-    engine.
+    engine, with a search memo of its own.  A q outside pa(v) is a
+    NotAParentSubset.
     """
-    return _enum_rank(g, g.removable(v), g.sort_vertices(q), cap)
+    return _enum_rank(g, g.removable(v), _parent_subset(g, v, q), cap, {})
 
 
-def _enum_rank(g: MixedGraph, removable, q, cap: int) -> int:
+def _enum_rank(g: MixedGraph, removable, q, cap: int, memo: dict) -> int:
+    """`brute_force_v_rank` from (removable, q); `memo` keeps each (sources, targets) search's
+    answer, so share it only among calls on one directed part."""
     for k in range(min(len(removable), len(q)), 0, -1):
-        if any(
-            path_system_exists(g, sources, targets, cap)
-            for sources in combinations(removable, k)
-            for targets in combinations(q, k)
-        ):
-            return k
+        for sources in combinations(removable, k):
+            for targets in combinations(q, k):
+                if (sources, targets) not in memo:
+                    memo[sources, targets] = path_system_exists(g, sources, targets, cap)
+                if memo[sources, targets]:
+                    return k
     return 0
 
 
@@ -264,13 +272,18 @@ def _rank(s: np.ndarray):
     return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
+def _parent_subset(g: MixedGraph, v: str, q) -> tuple:
+    """q in declaration order; a vertex outside pa(v) is a NotAParentSubset."""
+    q = g.sort_vertices(q)
+    if not set(q) <= set(g.parents(v)):
+        raise NotAParentSubset(q, v)
+    return q
+
+
 def _free_parents(g: MixedGraph, v: str, pinned) -> list:
     """pa(v) minus pinned, in declaration order; a pinned vertex outside pa(v) is a NotAParentSubset."""
-    pa = g.parents(v)
-    pinned = g.sort_vertices(pinned)
-    if not set(pinned) <= set(pa):
-        raise NotAParentSubset(pinned, v)
-    return [w for w in pa if w not in pinned]
+    pinned = _parent_subset(g, v, pinned)
+    return [w for w in g.parents(v) if w not in pinned]
 
 
 def system_matrix(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> np.ndarray:
@@ -317,9 +330,7 @@ def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
     null space: unique q-coordinates iff every null direction vanishes on q.
     A q or k with a vertex outside pa(v) is a NotAParentSubset.
     """
-    q = g.sort_vertices(q)
-    if not set(q) <= set(g.parents(v)):
-        raise NotAParentSubset(q, v)
+    q = _parent_subset(g, v, q)
     free = _free_parents(g, v, k)
     _, s, vt = np.linalg.svd(system_matrix(g, lam, v, k))
     null_basis = vt[_rank(s):].T
@@ -339,26 +350,36 @@ def nongeneric_locus_check(g: MixedGraph, lam: ParamMatrix, v: str) -> bool:
 
 def generic_parameters(g: MixedGraph, rng) -> ParamMatrix:
     """Parameter draw staying clear of zero: uniform on +-[0.05, 1] per edge."""
-    values = {}
-    for u, v in g.directed:
-        magnitude = rng.uniform(0.05, 1.0)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        values[(u, v)] = sign * magnitude
-    return ParamMatrix(g, values)
+    return ParamMatrix(g, dict(zip(g.directed, _draws(rng, 1, len(g.directed))[0].tolist())))
+
+
+def _draws(rng, draws: int, edges: int) -> np.ndarray:
+    """(draws, edges) `generic_parameters` values from one `rng` call: per value a
+    magnitude 0.05 + 0.95 u from one double u, then negative iff the next double is >= 0.5."""
+    u = rng.random((draws, edges, 2))
+    return np.where(u[..., 1] < 0.5, 1.0, -1.0) * (0.05 + (1.0 - 0.05) * u[..., 0])
 
 
 # -- exhaustive cross-checking ------------------------------------------------
 
 
 def all_dags(p: int):
-    """All labeled DAGs on p vertices as directed index-pair tuples."""
-    if p > 4:
-        raise TooLarge("exhaustive DAG enumeration documented up to 4 vertices")
+    """All labeled DAGs on p vertices as directed index-pair tuples.
+
+    Every subset of the ordered vertex pairs is a candidate, kept when no
+    edge i -> j has j among i's ancestors, read off its parent masks.
+    TooLarge covers any p outside 0..4, a negative p included.
+    """
+    if not 0 <= p <= 4:
+        raise TooLarge(f"exhaustive DAG enumeration documented for 0 to 4 vertices, got {p}")
     pairs = [(i, j) for i in range(p) for j in range(p) if i != j]
     dags = []
     for mask in range(1 << len(pairs)):
         edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        if is_acyclic(MixedGraph(range(p), edges)):
+        pa, ancestors = [0] * p, [0] * p
+        for i, j in edges:
+            pa[j] |= 1 << i
+        if not any(MixedGraph._closure(i, pa, ancestors) >> j & 1 for i, j in edges):
             dags.append(tuple(edges))
     return dags
 
@@ -373,9 +394,9 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5):
     """Compare flow rank, brute-force rank, and modal numeric rank on one acyclic graph.
 
     Checks every (v, Q) with Q a subset of pa(v); returns a list of mismatch
-    records (empty on agreement).  The `v_rank_fn` engine hook is gone.  The
-    graph must be acyclic: the enumeration and the path matrix count paths
-    through v, which the flow network excludes.
+    records (empty on agreement).  The graph must be acyclic: the
+    enumeration and the path matrix count paths through v, which the flow
+    network excludes.
     """
     if not is_acyclic(g):
         raise CyclicGraph("the triple-oracle check is defined for acyclic graphs")
@@ -395,25 +416,26 @@ def _check(g: MixedGraph, variants: bool, b_stack, flows: dict, report: dict):
 
     With `variants` the DAG g stands for its 2^C(p,2) bidirected variants,
     else for itself.  A check is fixed by its key (v, removable, Q): the
-    column network reads nothing else of g's directed part, the ranks only
-    (removable, Q).  Over the variants removable(v) takes exactly the sets
-    A - N, N inside v's strict ancestors A, and the star {v <-> u : u in N}
-    realises each; so one `_Column` per (v, N) gives every key's flow, read
-    from the sweep-wide `flows` memo.  Graphs are built only to record the
+    column network reads only g's directed part, removable and Q, the ranks
+    only (removable, Q).  Over the variants removable(v) takes every subset
+    of v's strict ancestors, so one `_Column` on g per (v, subset) gives
+    every key's flow, read from the sweep-wide `flows` memo.  The
+    enumeration ranks share one memo of (sources, targets) searches, as
+    every variant has g's paths.  Graphs are built only to record the
     failing (v, Q) of a disagreeing key, from the key table.
     """
     vs, p = g.vertices, g.num_vertices
     plan = [(v, _subsets(g.parents(v))) for v in vs]
     table = {}
     for v, qs in plan:
-        stars = _subsets(g.sort_vertices(g.ancestors(v) - {v})) if variants else [()]
-        for n in stars:
-            col = _Column(MixedGraph(vs, g.directed, [(v, u) for u in n]) if n else g, v)
+        for removable in _subsets(g.sort_vertices(g.ancestors(v) - {v})) if variants else [g.removable(v)]:
+            col = _Column(g, v, removable)
             for q in qs:
-                table[v, col.removable, q] = col.rank(q, flows)
+                table[v, removable, q] = col.rank(q, flows)
     keys = list(dict.fromkeys(key[1:] for key in table))
     modals = _modal_ranks(g, b_stack, keys)
-    ranks = {key: (_enum_rank(g, *key, ENUMERATION_CAP), modal) for key, modal in zip(keys, modals)}
+    searches = {}
+    ranks = {key: (_enum_rank(g, *key, ENUMERATION_CAP, searches), modal) for key, modal in zip(keys, modals)}
     count = 1 << p * (p - 1) // 2 if variants else 1
     report["graphs"] += count
     report["checks"] += count * sum(len(qs) for _, qs in plan)
@@ -455,14 +477,17 @@ def _modal_ranks(g: MixedGraph, b_stack, keys) -> list:
 
 
 def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
-    """Stack of path matrices at independent generic parameter draws."""
+    """Path matrices of an acyclic g at `draws` independent `generic_parameters` draws, stacked;
+    one `_draws` call and one batched `_power_sum`, with the stream and values of a draw at a time."""
     if draws < 1:
         raise InvalidDrawCount(draws)
+    if not is_acyclic(g):
+        raise CyclicGraph("the power-sum path matrix needs an acyclic binding")
     p = g.num_vertices
-    stack = np.empty((draws, p, p))
-    for d in range(draws):
-        stack[d] = path_matrix(generic_parameters(g, rng))
-    return stack
+    rows, cols = [g.index(u) for u, _ in g.directed], [g.index(v) for _, v in g.directed]
+    dense = np.zeros((draws, p, p))
+    dense[:, rows, cols] = _draws(rng, draws, len(g.directed))
+    return _power_sum(dense)
 
 
 def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000):
@@ -473,8 +498,7 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000)
     variants, which share its parameter draws; each sampled graph stands
     for itself.  `_check` decides every check from its (v, removable, Q) key.
     Max flows are memoised for the whole sweep under the built network, the
-    solver's complete input, so each distinct network is solved once.  The
-    `v_rank_fn` engine hook is gone; tests patch the solver instead.
+    solver's complete input, so each distinct network is solved once.
     """
 
     from .simulate import random_admg

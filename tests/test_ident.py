@@ -163,7 +163,7 @@ class TestColumnTemplate:
                         targets = [q for k in range(len(pa) + 1) for q in combinations(pa, k)]
                     else:
                         targets = [pa] + [tuple(w for w in pa if w != u) for u in pa]
-                    col = ident._Column(g, v)
+                    col = ident._Column(g, v, g.removable(v))
                     for q in targets:
                         # combinations follow pa order; the builder sorts q itself
                         q = q[::-1]
@@ -173,7 +173,7 @@ class TestColumnTemplate:
     def test_template_keeps_the_parent_subset_check(self):
         g = confounded_diamond()
         with pytest.raises(NotAParentSubset):
-            ident._Column(g, "v4").arcs(["v1"])
+            ident._Column(g, "v4", g.removable("v4")).arcs(["v1"])
 
 
 class TestVRank:
@@ -447,17 +447,18 @@ class TestMatrixReport:
 
     def test_every_report_up_to_four_vertices_agrees_with_enumeration(self):
         # All 34,959 graphs of verify's exhaustive sweep.  Ranks come from
-        # path-system enumeration, cached per DAG under (removable, Q) as verify does.
+        # path-system enumeration, cached per DAG under (removable, Q) and with
+        # one search memo per DAG, as verify does.
         graphs = columns = edges = 0
         for p in range(1, 5):
             vs = [f"v{i + 1}" for i in range(p)]
             for dag in all_dags(p):
                 directed = [(vs[a], vs[b]) for a, b in dag]
-                ranks = {}
+                ranks, searches = {}, {}
 
                 def rank(g, removable, q):
                     if (removable, q) not in ranks:
-                        ranks[removable, q] = _enum_rank(g, removable, q, ENUMERATION_CAP)
+                        ranks[removable, q] = _enum_rank(g, removable, q, ENUMERATION_CAP, searches)
                     return ranks[removable, q]
 
                 for bid in all_bidirected_sets(p):
@@ -521,7 +522,7 @@ class TestMatrixReport:
                 for v, col in report.columns.items():
                     pa = g.parents(v)
                     removable = g.sort_vertices(removable_ancestors(g, v))
-                    solved = ident._Column(g, v).solve(pa)
+                    solved = ident._Column(g, v, g.removable(v)).solve(pa)
                     ok = forced[v] = solved.rank == len(pa)
                     assert col == ColumnVerdict(removable, solved.rank, ok, solved.paths() if ok else ()), (g, v)
                     for u in pa:

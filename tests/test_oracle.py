@@ -273,6 +273,9 @@ class TestFiber:
     def test_modal_dimension_rejects_cyclic_graphs(self):
         with pytest.raises(CyclicGraph):
             fiber_dimension_modal(two_cycle(), "v1")
+        # The batched draws sum a power series, which only a nilpotent binding ends.
+        with pytest.raises(CyclicGraph):
+            oracle.draw_b_stack(two_cycle(), np.random.default_rng(0), 5)
 
     @pytest.mark.parametrize("draws", [0, -1])
     def test_draw_count_below_one_rejected(self, draws):
@@ -352,6 +355,12 @@ class TestAllDags:
         with pytest.raises(TooLarge):
             all_dags(5)
 
+    def test_negative_vertex_count_refused(self):
+        # There is no graph on -1 vertices, not even the empty one on 0.
+        assert all_dags(0) == [()]
+        with pytest.raises(TooLarge, match="got -1$"):
+            all_dags(-1)
+
 
 class TestBruteForce:
     def test_matches_flow_on_worked_examples(self):
@@ -359,6 +368,14 @@ class TestBruteForce:
         assert brute_force_v_rank(g, "v4", ["v2", "v3"]) == 2
         assert brute_force_v_rank(g, "v2", ["v1"]) == 0
         assert brute_force_v_rank(half_identifiable_collider(), "v4", ["v2", "v3"]) == 1
+
+    def test_refuses_a_q_outside_the_parents(self):
+        # d is a child of c, not a parent: v_rank refuses (c, {d}), and so
+        # must the enumeration, which would otherwise count the trivial path d.
+        g = MixedGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")], [("b", "c")])
+        for rank in (v_rank, brute_force_v_rank):
+            with pytest.raises(NotAParentSubset):
+                rank(g, "c", ["d"])
 
     def test_cross_check_clean_on_random_graphs(self):
         for seed in range(10):
@@ -391,6 +408,15 @@ def count_solves(monkeypatch, broken=False):
 
     monkeypatch.setattr(ident._Dinic, "max_flow", counting_solve)
     return solves
+
+
+def scalar_draw(g, rng):
+    """`generic_parameters` one double at a time: per edge a magnitude, then a sign."""
+    values = {}
+    for edge in g.directed:
+        magnitude = rng.uniform(0.05, 1.0)
+        values[edge] = (1.0 if rng.random() < 0.5 else -1.0) * magnitude
+    return ParamMatrix(g, values)
 
 
 def per_key_modal_rank(g, b_stack, removable, q):
@@ -476,7 +502,9 @@ class TestVerifySweep:
         # sound: the same checks as for a broken engine must disagree.
         if field == "enumeration":
             enum = oracle._enum_rank
-            monkeypatch.setattr(oracle, "_enum_rank", lambda g, removable, q, cap: enum(g, removable, q, cap) + bool(q))
+            monkeypatch.setattr(
+                oracle, "_enum_rank", lambda g, removable, q, cap, memo: enum(g, removable, q, cap, memo) + bool(q)
+            )
         else:
             modal = oracle._modal_ranks
 
@@ -490,18 +518,24 @@ class TestVerifySweep:
 
     def test_four_vertex_sweep_builds_one_column_per_dag_and_removable_set(self, monkeypatch):
         solves = count_solves(monkeypatch)
-        builds = []
-        build = ident._Column.__init__
+        builds, lookups = [], []
+        build, rank = ident._Column.__init__, ident._Column.rank
 
-        def counting_build(self, g, v):
+        def counting_build(self, g, v, removable):
             builds.append(v)
-            build(self, g, v)
+            build(self, g, v, removable)
+
+        def counting_rank(self, q, memo):
+            lookups.append(q)
+            return rank(self, q, memo)
 
         monkeypatch.setattr(ident._Column, "__init__", counting_build)
+        monkeypatch.setattr(ident._Column, "rank", counting_rank)
         report = verify_sweep(4, 0)
         assert (report["graphs"], report["checks"], report["mismatches"]) == (34959, 323121, [])
         assert len(solves) == 1706
         assert len(builds) == 6553
+        assert len(lookups) == 21937
 
     def test_dag_removable_and_q_fix_the_column_network(self):
         # The sweep shares one column per (v, removable) across the
@@ -516,7 +550,7 @@ class TestVerifySweep:
                 for bid in all_bidirected_sets(p):
                     g = MixedGraph(vertices, directed, [(vertices[a], vertices[b]) for a, b in bid])
                     for v in vertices:
-                        col = ident._Column(g, v)
+                        col = ident._Column(g, v, g.removable(v))
                         pa = g.parents(v)
                         for q in (q for size in range(len(pa) + 1) for q in combinations(pa, size)):
                             network = (col.n, col.arcs(q)[1])
@@ -571,29 +605,78 @@ class TestVerifySweep:
         assert expected["graphs"] == 36 and expected["mismatches"]
         assert json.dumps(verify_sweep(5, 0, 36)) == json.dumps(expected)
 
+    def test_dag_columns_equal_the_star_columns(self):
+        # The sweep builds the column of key (v, A - N, Q) on the DAG itself,
+        # where the realisation test above builds the star v <-> N: both must
+        # give the same network for every v, N inside A and Q.
+        networks = 0
+        for p in range(1, 5):
+            vertices = [f"v{i + 1}" for i in range(p)]
+            for dag in all_dags(p):
+                g = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
+                for v in vertices:
+                    anc = g.sort_vertices(g.ancestors(v) - {v})
+                    pa = g.parents(v)
+                    for n in (n for size in range(len(anc) + 1) for n in combinations(anc, size)):
+                        star = MixedGraph(vertices, g.directed, [(v, u) for u in n])
+                        on_star = ident._Column(star, v, star.removable(v))
+                        on_dag = ident._Column(g, v, tuple(u for u in anc if u not in n))
+                        for q in (q for size in range(len(pa) + 1) for q in combinations(pa, size)):
+                            assert (on_dag.n, on_dag.arcs(q)) == (on_star.n, on_star.arcs(q))
+                            networks += 1
+        assert networks == 21937
+
     def test_four_vertex_sweep_builds_no_variant_graph(self, monkeypatch):
-        # One base graph per DAG plus at most one star per (v, N): 572 + 6,553.
-        # The graphs that `all_dags` builds to test acyclicity are not counted.
-        builds, enumerating = [], []
-        build, dags = MixedGraph.__init__, oracle.all_dags
+        # The 572 directed parts and nothing else: no bidirected variant, no
+        # star, and no candidate digraph inside `all_dags`.
+        builds = []
+        build = MixedGraph.__init__
 
         def counting_build(self, *args, **kwargs):
-            if not enumerating:
-                builds.append(args)
+            builds.append(args)
             build(self, *args, **kwargs)
 
-        def quiet_dags(p):
-            enumerating.append(p)
-            try:
-                return dags(p)
-            finally:
-                enumerating.pop()
-
         monkeypatch.setattr(MixedGraph, "__init__", counting_build)
-        monkeypatch.setattr(oracle, "all_dags", quiet_dags)
+        assert [len(all_dags(p)) for p in range(1, 5)] == [1, 3, 25, 543]
+        assert builds == []
         report = verify_sweep(4, 0)
         assert (report["graphs"], report["checks"], report["mismatches"]) == (34959, 323121, [])
-        assert len(builds) <= 572 + 6553
+        assert len(builds) == 572
+
+    def test_four_vertex_sweep_searches_each_path_system_once_per_dag(self, monkeypatch):
+        searches = []
+        search = oracle.path_system_exists
+
+        def counting_search(g, sources, targets, cap):
+            searches.append((g.vertices, g.directed, sources, targets))
+            return search(g, sources, targets, cap)
+
+        monkeypatch.setattr(oracle, "path_system_exists", counting_search)
+        report = verify_sweep(4, 0)
+        assert (report["graphs"], report["checks"], report["mismatches"]) == (34959, 323121, [])
+        assert len(searches) == len(set(searches)) == 4996
+
+    def test_bulk_draws_equal_one_path_matrix_per_draw(self):
+        # Every DAG's stack in the sweep, byte for byte, against one
+        # `path_matrix` per draw of coefficients taken one double at a time.
+        for p in range(1, 5):
+            vertices = [f"v{i + 1}" for i in range(p)]
+            for dag_idx, dag in enumerate(all_dags(p)):
+                g = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
+                seeds = [np.random.SeedSequence(0, spawn_key=(p, dag_idx)) for _ in range(2)]
+                stack = oracle.draw_b_stack(g, np.random.default_rng(seeds[0]), 5)
+                rng = np.random.default_rng(seeds[1])
+                expected = np.array([path_matrix(scalar_draw(g, rng)) for _ in range(5)])
+                assert stack.shape == expected.shape == (5, p, p)
+                assert stack.tobytes() == expected.tobytes()
+
+    def test_generic_parameters_keep_the_scalar_stream(self):
+        for seed in range(20):
+            g = random_admg(6, 0.6, seed)
+            rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert generic_parameters(g, rng).values == scalar_draw(g, scalar_rng).values
+            assert rng.random() == scalar_rng.random()
 
     def test_batched_modal_ranks_equal_the_per_key_mode(self):
         # Every non-empty (removable, Q) key of every DAG with p <= 4, on the
