@@ -10,9 +10,11 @@ import json
 import sys
 
 from .errors import (
+    BindingMismatch,
     DuplicateVertex,
     GraphFormatError,
     InvalidFactorGraph,
+    NotAParentSubset,
     SelfLoop,
     UnknownVertex,
 )
@@ -85,6 +87,15 @@ class MixedGraph:
 
     def parents(self, v: str) -> tuple[str, ...]:
         return self._names(self._pa[self.index(v)])
+
+    def parent_subset(self, v: str, q) -> tuple[str, ...]:
+        """q in declaration order; a vertex outside pa(v) is a NotAParentSubset."""
+        mask = 0
+        for u in q:
+            mask |= 1 << self.index(u)
+        if mask & ~self._pa[self.index(v)]:
+            raise NotAParentSubset(self._names(mask), v)
+        return self._names(mask)
 
     def children(self, v: str) -> tuple[str, ...]:
         return self._names(self._ch[self.index(v)])
@@ -182,6 +193,21 @@ class MixedGraph:
 def is_acyclic(g: MixedGraph) -> bool:
     """True iff the directed part has no non-trivial directed cycle: no edge u -> v with v in an(u)."""
     return not any(g._an_mask(i) & ch for i, ch in enumerate(g._ch))
+
+
+def edge_keys(edges) -> dict:
+    """Each directed edge (u, v) mapped to its document key "u->v", in the given order.
+
+    Vertex names may hold "->", so two edges can render one key; that is a
+    BindingMismatch, as one of them would vanish from the document.
+    """
+    keys = {edge: f"{edge[0]}->{edge[1]}" for edge in edges}
+    if len(set(keys.values())) < len(keys):
+        first = {}
+        for edge, key in keys.items():
+            if first.setdefault(key, edge) != edge:
+                raise BindingMismatch(f"edges {first[key]!r} and {edge!r} both render as the key {key!r}")
+    return keys
 
 
 def bidirected_connected_components(g: MixedGraph) -> tuple[frozenset, ...]:

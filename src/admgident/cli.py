@@ -149,7 +149,7 @@ def cmd_check(args) -> int:
             raise GraphFormatError(f"--edge expects 'u,v', got {args.edge!r}")
         u, v = edge
         known = [w for w in _split_names(g, args.known or "") if w]
-        doc = {"edge": f"{u}->{v}", "identifiable": ident.is_identifiable_with_knowledge(g, v, (u,), known)}
+        doc = {"edge": admg.edge_keys([(u, v)])[u, v], "identifiable": ident.is_identifiable_with_knowledge(g, v, (u,), known)}
         if args.known:
             doc["known"] = sorted(known)
         _emit(args, _render(args, doc, lambda d: f"{d['edge']}: {'identifiable' if d['identifiable'] else 'not identifiable'}\n"))
@@ -374,6 +374,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     g = _load_graph(args.graph)
+    keys = admg.edge_keys(g.directed)  # a key clash is refused before any fit
     ds = simulate.read_dataset(args.data)
     if tuple(ds.columns) != g.vertices:
         raise BindingMismatch("data columns do not match the graph vertices")
@@ -398,10 +399,7 @@ def cmd_estimate(args) -> int:
     doc = result.to_dict()
     if true_lam is not None:
         doc["loss"] = estimate.normalized_frobenius_loss(result.lam_hat, true_lam)
-        doc["abs_errors"] = {
-            f"{u}->{v}": abs(result.lam_hat.get(u, v) - true_lam.get(u, v))
-            for u, v in g.directed
-        }
+        doc["abs_errors"] = {key: abs(result.lam_hat.get(*edge) - true_lam.get(*edge)) for edge, key in keys.items()}
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admg import MixedGraph
+from .admg import MixedGraph, edge_keys
 from .errors import (
     BindingMismatch,
     LengthMismatch,
@@ -379,7 +379,7 @@ class EstimateResult:
 
     def to_dict(self) -> dict:
         return {
-            "edges": {f"{u}->{v}": self.lam_hat.values.get((u, v), 0.0) for u, v in self.lam_hat.graph.directed},
+            "edges": {key: self.lam_hat.values.get(edge, 0.0) for edge, key in edge_keys(self.lam_hat.graph.directed).items()},
             "final_objective": self.final_objective,
             "iterations": self.iterations,
             "converged": self.converged,

@@ -16,15 +16,11 @@ from typing import NamedTuple
 from .admg import (
     LatentFactorGraph,
     MixedGraph,
+    edge_keys,
     is_acyclic,
     latent_projection_bidirected,
 )
-from .errors import (
-    CyclicGraph,
-    InvalidFactorGraph,
-    NotAParentSubset,
-    NotCycleDecomposable,
-)
+from .errors import CyclicGraph, InvalidFactorGraph, NotCycleDecomposable
 
 def removable_ancestors(g: MixedGraph, v: str) -> frozenset:
     """Ancestors u of v (u != v) whose closed sibling set {u} | sib(u) is not contained in {v} | sib(v).
@@ -56,32 +52,27 @@ class _Column:
     Node 0 is the source, node 1 the sink, and nodes 2i + 2 and 2i + 3 the
     in- and out-node of the i-th strict ancestor of v, in ancestor-mask bit
     order.  Arcs run `head` (split, then source arcs in `removable` order),
-    sink arcs (q order), then `tail` (directed edges, `g.directed` order);
-    Dinic's tie-breaks, and so the witnesses, follow this order.
+    `sink[u]` for u in q (declaration order), then `tail` (directed edges,
+    `g.directed` order), all three built once per column; Dinic's
+    tie-breaks, and so the witnesses, follow this order.
     `removable` is `g.removable(v)`, or the removable set v has in another
     graph with g's directed edges.
     """
 
     def __init__(self, g: MixedGraph, v: str, removable: tuple):
-        self.g, self.v, self.i = g, v, g.index(v)
-        self.anc = g._names(g._an_mask(self.i) & ~(1 << self.i))
+        i = g.index(v)
+        self.g, self.v, self.anc = g, v, g._names(g._an_mask(i) & ~(1 << i))
         self.n = 2 * len(self.anc) + 2
-        self.node_in = node_in = {u: 2 * i + 2 for i, u in enumerate(self.anc)}
-        self.removable = removable
-        self.big_m = big_m = g.num_vertices + 1
-        self.head = [(node_in[u], node_in[u] + 1, 1) for u in self.anc]
-        self.head += [(0, node_in[u], big_m) for u in self.removable]
-        self.tail = [(node_in[a] + 1, node_in[b], big_m) for a, b in g.directed if a in node_in and b in node_in]
+        self.node_in = node_in = {u: 2 * j + 2 for j, u in enumerate(self.anc)}
+        big_m = g.num_vertices + 1
+        self.head = tuple([(j, j + 1, 1) for j in node_in.values()] + [(0, node_in[u], big_m) for u in removable])
+        self.tail = tuple([(node_in[a] + 1, node_in[b], big_m) for a, b in g.directed if a in node_in and b in node_in])
+        self.sink = {u: (j + 1, 1, big_m) for u, j in node_in.items()}
 
     def arcs(self, q):
         """q in declaration order and the integer arcs (tail, head, capacity) of its network."""
-        mask = 0
-        for u in q:
-            mask |= 1 << self.g.index(u)
-        q = self.g._names(mask)
-        if mask & ~self.g._pa[self.i]:
-            raise NotAParentSubset(q, self.v)
-        return q, self.head + [(self.node_in[u] + 1, 1, self.big_m) for u in q] + self.tail
+        q = self.g.parent_subset(self.v, q)
+        return q, [*self.head, *map(self.sink.get, q), *self.tail]
 
     def solve(self, q) -> _SolvedColumn:
         q, arcs = self.arcs(q)
@@ -89,10 +80,11 @@ class _Column:
         return _SolvedColumn(self, q, arcs, solver, solver.max_flow(0, 1))
 
     def rank(self, q, memo: dict) -> int:
-        """The max flow for q, memoised under the solver's complete input (node count, arcs)."""
-        key = (self.n, tuple(self.arcs(q)[1]))
+        """The max flow for q, memoised under the solver's complete input: the node count, the
+        column's fixed head and tail arcs, then q's sink arcs, which together give its arcs."""
+        key = (self.n, self.head, self.tail, *map(self.sink.get, self.g.parent_subset(self.v, q)))
         if key not in memo:
-            memo[key] = _Dinic(*key).max_flow(0, 1)
+            memo[key] = _Dinic(self.n, [*self.head, *key[3:], *self.tail]).max_flow(0, 1)
         return memo[key]
 
     def named(self, arcs) -> FlowNetwork:
@@ -285,14 +277,8 @@ def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
     """
     if not is_acyclic(g):
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
-    q = g.sort_vertices(q)
-    k = g.sort_vertices(k)
-    pa = set(g.parents(v))
-    if not set(q) <= pa:
-        raise NotAParentSubset(q, v)
-    if not set(k) <= pa:
-        raise NotAParentSubset(k, v)
-    solved = _Column(g, v, g.removable(v)).solve(pa - set(k))
+    q, k = g.parent_subset(v, q), g.parent_subset(v, k)
+    solved = _Column(g, v, g.removable(v)).solve([u for u in g.parents(v) if u not in k])
     return all(solved.coloop(u) for u in q if u not in k)
 
 
@@ -326,7 +312,7 @@ class IdentReport:
                 }
                 for v, c in self.columns.items()
             },
-            "edges": {f"{u}->{v}": b for (u, v), b in self.edges.items()},
+            "edges": dict(zip(edge_keys(self.edges).values(), self.edges.values())),
         }
 
     def to_json(self) -> str:

@@ -1,8 +1,9 @@
-"""Brute-force verifiers: path matrices, path-system enumeration, fiber dimensions.
+"""Parameter matrices, path matrices, and brute-force verifiers of the flow engine.
 
-Everything here exists to cross-check the flow engine by independent means:
-numeric ranks of path-matrix blocks, exhaustive vertex-disjoint path-system
-search, and the linear system whose solution space is the parameter fiber.
+`ParamMatrix` and `path_matrix` serve `simulate` and `estimate` as well.
+The verifiers cross-check the flow engine by independent means: numeric
+ranks of path-matrix blocks, exhaustive vertex-disjoint path-system search,
+and the linear system whose solution space is the parameter fiber.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .admg import MixedGraph, finite_number, is_acyclic, load_json_object
+from .admg import MixedGraph, edge_keys, finite_number, is_acyclic, load_json_object
 from .errors import (
     BindingMismatch,
     CyclicGraph,
     GraphFormatError,
     InvalidDrawCount,
-    NotAParentSubset,
     SingularMatrix,
     SizeMismatch,
     TooLarge,
@@ -57,16 +57,10 @@ class ParamMatrix:
         return lam
 
     def to_json(self) -> str:
-        """The coefficients under "u->v" keys; two edges that render one key are a BindingMismatch."""
-        edges = {}
-        for u, v in self.graph.directed:
-            key = f"{u}->{v}"
-            first = edges.setdefault(key, (u, v))
-            if first != (u, v):
-                raise BindingMismatch(f"edges {first!r} and {(u, v)!r} both render as the parameter key {key!r}")
+        """The coefficients under `edge_keys`; two edges that render one key are a BindingMismatch."""
         doc = {
             "vertices": list(self.graph.vertices),
-            "edges": {key: self.values.get(edge, 0.0) for key, edge in edges.items()},
+            "edges": {key: self.values.get(edge, 0.0) for edge, key in edge_keys(self.graph.directed).items()},
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -74,14 +68,15 @@ class ParamMatrix:
     def from_json(graph: MixedGraph, text: str) -> "ParamMatrix":
         """Inverse of to_json; a malformed document is a GraphFormatError.
 
-        Keys are matched against the graph's own "u->v" edge keys, so vertex
-        names may contain "->"; a key that names no edge stays a string, which
-        construction rejects as a BindingMismatch.
+        Keys are matched against the graph's own `edge_keys`, so vertex names
+        may contain "->"; a key that names no edge stays a string, which
+        construction rejects as a BindingMismatch.  So is a graph whose edges
+        render one key.
         """
         edges = load_json_object(text, "parameter JSON").get("edges", {})
         if not isinstance(edges, dict):
             raise GraphFormatError("parameter JSON must be an object whose 'edges' is an object")
-        keys = {f"{u}->{v}": (u, v) for u, v in graph.directed}
+        keys = {key: edge for edge, key in edge_keys(graph.directed).items()}
         values = {}
         for key, x in edges.items():
             if not finite_number(x):
@@ -180,7 +175,7 @@ def brute_force_v_rank(g: MixedGraph, v: str, q, cap: int = ENUMERATION_CAP) -> 
     engine, with a search memo of its own.  A q outside pa(v) is a
     NotAParentSubset.
     """
-    return _enum_rank(g, g.removable(v), _parent_subset(g, v, q), cap, {})
+    return _enum_rank(g, g.removable(v), g.parent_subset(v, q), cap, {})
 
 
 def _enum_rank(g: MixedGraph, removable, q, cap: int, memo: dict) -> int:
@@ -272,17 +267,9 @@ def _rank(s: np.ndarray):
     return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
-def _parent_subset(g: MixedGraph, v: str, q) -> tuple:
-    """q in declaration order; a vertex outside pa(v) is a NotAParentSubset."""
-    q = g.sort_vertices(q)
-    if not set(q) <= set(g.parents(v)):
-        raise NotAParentSubset(q, v)
-    return q
-
-
 def _free_parents(g: MixedGraph, v: str, pinned) -> list:
     """pa(v) minus pinned, in declaration order; a pinned vertex outside pa(v) is a NotAParentSubset."""
-    pinned = _parent_subset(g, v, pinned)
+    pinned = g.parent_subset(v, pinned)
     return [w for w in g.parents(v) if w not in pinned]
 
 
@@ -330,7 +317,7 @@ def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
     null space: unique q-coordinates iff every null direction vanishes on q.
     A q or k with a vertex outside pa(v) is a NotAParentSubset.
     """
-    q = _parent_subset(g, v, q)
+    q = g.parent_subset(v, q)
     free = _free_parents(g, v, k)
     _, s, vt = np.linalg.svd(system_matrix(g, lam, v, k))
     null_basis = vt[_rank(s):].T

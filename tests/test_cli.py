@@ -590,12 +590,26 @@ class TestEstimate:
         assert set(doc["abs_errors"]) == {"x->y->z", "z->w"}
 
     def test_edges_rendering_one_parameter_key_exit_3_before_writing(self, tmp_path, capsys):
-        # a -> "b->c" and "a->b" -> c share the key "a->b->c": no file may be written, not even an empty one
-        graph, params, data = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "d.csv"
-        graph.write_text(graph_to_json(MixedGraph(["a", "b->c", "a->b", "c"], [("a", "b->c"), ("a->b", "c")])))
-        assert main(["simulate", str(graph), "--n", "10", "--params-out", str(params), "--data-out", str(data)]) == 3
-        assert "'a->b->c'" in capsys.readouterr().err
-        assert not params.exists() and not data.exists()
+        # a -> "b->c" and "a->b" -> c share the key "a->b->c": no output may be written, not even an empty file
+        runs = {
+            "simulate": ["simulate", "{g}", "--n", "10", "--params-out", "{out}", "--data-out", "{out}.csv"],
+            "check": ["check", "{g}", "--out", "{out}"],
+            "estimate": ["estimate", "{g}", "{data}", "--out", "{out}"],
+            "estimate-true-params": ["estimate", "{g}", "{data}", "--true-params", "{params}", "--out", "{out}"],
+        }
+        for name, argv in runs.items():
+            (tmp_path / name).mkdir()
+            paths = {file: tmp_path / name / file for file in ("g", "data", "params", "out")}
+            paths["g"].write_text(graph_to_json(MixedGraph(["a", "b->c", "a->b", "c"], [("a", "b->c"), ("a->b", "c")])))
+            paths["data"].write_text("a,b->c,a->b,c\n" + "".join(f"{i},{i % 3},{i % 5},{i % 7}\n" for i in range(20)))
+            paths["params"].write_text('{"edges": {"a->b->c": 1.0}}')
+            assert main([arg.format(**paths) for arg in argv]) == 3, name
+            out, err = capsys.readouterr()
+            assert out == "" and "'a->b->c'" in err, name
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["data", "g", "params"], name
+        # a --edge document holds one key, so the other edge's cannot clash with it
+        assert main(["check", str(tmp_path / "check" / "g"), "--edge", "a,b->c"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"edge": "a->b->c", "identifiable": True}
 
     def test_tv_init_requires_params(self, iv_file, tmp_path, capsys):
         data = tmp_path / "data.csv"

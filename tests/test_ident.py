@@ -171,9 +171,15 @@ class TestColumnTemplate:
         assert cyclic_graphs
 
     def test_template_keeps_the_parent_subset_check(self):
+        # the memoised rank validates q before it reads the memo
         g = confounded_diamond()
-        with pytest.raises(NotAParentSubset):
-            ident._Column(g, "v4", g.removable("v4")).arcs(["v1"])
+        col, memo = ident._Column(g, "v4", g.removable("v4")), {}
+        assert col.rank(["v3", "v2"], memo) == 2 and len(memo) == 1
+        for call in (col.arcs, col.solve, lambda q: col.rank(q, memo)):
+            with pytest.raises(NotAParentSubset):
+                call(["v1"])
+            with pytest.raises(NotAParentSubset):
+                call(["v2", "v3", "v1"])
 
 
 class TestVRank:

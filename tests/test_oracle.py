@@ -66,11 +66,70 @@ class TestParamMatrix:
             assert back.values == lam.values
 
     def test_edges_rendering_one_key_are_refused(self):
-        # a -> "b->c" and "a->b" -> c both render as "a->b->c"; neither coefficient may be dropped.
+        # a -> "b->c" and "a->b" -> c both render as "a->b->c": writing must not drop either
+        # coefficient, and reading must not bind the key to one of them.
         g = MixedGraph(["a", "b->c", "a->b", "c"], [("a", "b->c"), ("a->b", "c")])
-        lam = ParamMatrix(g, {("a", "b->c"): 1.0, ("a->b", "c"): 2.0})
-        with pytest.raises(BindingMismatch, match=r"\('a', 'b->c'\) and \('a->b', 'c'\).*'a->b->c'"):
-            lam.to_json()
+        for call in (
+            lambda: ParamMatrix(g, {("a", "b->c"): 1.0, ("a->b", "c"): 2.0}).to_json(),
+            lambda: ParamMatrix.from_json(g, '{"edges": {"a->b->c": 1.0}}'),
+        ):
+            with pytest.raises(BindingMismatch, match=r"\('a', 'b->c'\) and \('a->b', 'c'\).*'a->b->c'"):
+                call()
+
+
+class TestParentSubset:
+    """Every entry point that takes a parent subset q (or pinned k) of column v checks it with
+    `MixedGraph.parent_subset`, so each refuses a non-parent with one message."""
+
+    # On a -> b -> c -> d with b <-> c, a is an ancestor of c but not a parent, and d a child: as
+    # a target the enumeration would count the trivial path d, as a pinned vertex a fiber would
+    # drop no coordinate.  The refused set is always ["a", "d"].
+    G = MixedGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")], [("b", "c")])
+    LAM = generic_parameters(G, np.random.default_rng(16))
+    BAD = ["d", "a"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, lam, bad: v_rank(g, "c", bad),
+            lambda g, lam, bad: ident.witness_paths(g, "c", bad),
+            lambda g, lam, bad: ident.build_flow_network(g, "c", bad),
+            lambda g, lam, bad: is_identifiable_with_knowledge(g, "c", bad, ()),
+            lambda g, lam, bad: is_identifiable_with_knowledge(g, "c", ["b"], bad),
+            lambda g, lam, bad: brute_force_v_rank(g, "c", bad),
+            lambda g, lam, bad: fiber_dimension(g, lam, "c", pinned=bad),
+            lambda g, lam, bad: fiber_dimension_modal(g, "c", pinned=bad),
+            lambda g, lam, bad: fiber_q_unique(g, lam, "c", bad),
+            lambda g, lam, bad: fiber_q_unique(g, lam, "c", ["b"], bad),
+        ],
+        ids=[
+            "v_rank",
+            "witness_paths",
+            "build_flow_network",
+            "is_identifiable_with_knowledge-q",
+            "is_identifiable_with_knowledge-k",
+            "brute_force_v_rank",
+            "fiber_dimension",
+            "fiber_dimension_modal",
+            "fiber_q_unique-q",
+            "fiber_q_unique-k",
+        ],
+    )
+    def test_every_entry_point_refuses_a_non_parent(self, call):
+        with pytest.raises(NotAParentSubset) as caught:
+            call(self.G, self.LAM, self.BAD)
+        assert str(caught.value) == "['a', 'd'] is not a subset of the parents of 'c'"
+
+    def test_parent_subset_returns_declaration_order(self):
+        g = half_identifiable_collider()
+        pa = g.parents("v4")
+        assert len(pa) > 1 and g.parent_subset("v4", pa[::-1]) == pa
+        assert g.parent_subset("v4", set(pa)) == pa
+        assert g.parent_subset("v4", ()) == ()
+
+    def test_a_non_parent_in_q_wins_over_an_unknown_vertex_in_k(self):
+        with pytest.raises(NotAParentSubset):
+            is_identifiable_with_knowledge(self.G, "c", ["a"], ["nowhere"])
 
 
 class TestPathMatrix:
@@ -291,26 +350,6 @@ class TestFiber:
         g = confounded_diamond()
         lam = generic_parameters(g, np.random.default_rng(15))
         assert fiber_dimension(g, lam, "v2", pinned=["v1"]) == 0
-
-    # v1 is an ancestor of v4 on the confounded diamond but not a parent, so
-    # it names no coordinate of column v4; `is_identifiable_with_knowledge`
-    # refuses the same input.
-    def test_dimension_refuses_a_pinned_non_parent(self):
-        lam = generic_parameters(confounded_diamond(), np.random.default_rng(16))
-        with pytest.raises(NotAParentSubset):
-            fiber_dimension(lam.graph, lam, "v4", pinned=["v1"])
-
-    def test_modal_dimension_refuses_a_pinned_non_parent(self):
-        with pytest.raises(NotAParentSubset):
-            fiber_dimension_modal(confounded_diamond(), "v4", pinned=["v1"])
-
-    def test_q_unique_refuses_a_non_parent_in_q_or_k(self):
-        lam = generic_parameters(confounded_diamond(), np.random.default_rng(17))
-        for q, k in ((["v1"], ()), (["v2"], ["v1"])):
-            with pytest.raises(NotAParentSubset):
-                fiber_q_unique(lam.graph, lam, "v4", q, k)
-        with pytest.raises(NotAParentSubset):
-            is_identifiable_with_knowledge(lam.graph, "v4", ["v1"], ())
 
     def test_fiber_matches_flow_rank(self):
         for seed in range(25):
