@@ -9,9 +9,8 @@ and the linear system whose solution space is the parameter fiber.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -31,6 +30,8 @@ RANK_TOL = 1e-8
 DET_TOL = 1e-8
 ENUMERATION_CAP = 10**6
 _MAX_GVL_VERTICES = 8
+# Graphs per `_check` call in `verify_sweep`: enough to batch the SVDs, few enough to keep memory flat.
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,7 @@ def fiber_dimension_modal(g: MixedGraph, v: str, pinned=(), seed: int = 0, draws
         raise CyclicGraph("fiber dimension is defined for acyclic bindings")
     free = _free_parents(g, v, pinned)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return len(free) - _modal_ranks(g, draw_b_stack(g, rng, draws), [(g.removable(v), free)])[0]
+    return len(free) - _modal_ranks([(g, draw_b_stack(g, rng, draws), [(g.removable(v), free)])])[0][0]
 
 
 def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
@@ -389,7 +390,7 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5):
         raise CyclicGraph("the triple-oracle check is defined for acyclic graphs")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     report = {"graphs": 0, "checks": 0, "mismatches": []}
-    _check(g, False, draw_b_stack(g, rng, draws), {}, report)
+    _check([(g, False, draw_b_stack(g, rng, draws))], {}, report)
     return report["mismatches"]
 
 
@@ -398,31 +399,50 @@ def _subsets(items):
     return [sub for size in range(len(items) + 1) for sub in combinations(items, size)]
 
 
-def _check(g: MixedGraph, variants: bool, b_stack, flows: dict, report: dict):
-    """Add the graphs, checks and mismatch records of g to `report`; see cross_check_graph.
+def _check(graphs, flows: dict, report: dict):
+    """Add the graphs, checks and mismatch records of each `(g, variants, b_stack)` to `report`.
 
     With `variants` the DAG g stands for its 2^C(p,2) bidirected variants,
     else for itself.  A check is fixed by its key (v, removable, Q): the
     column network reads only g's directed part, removable and Q, the ranks
-    only (removable, Q).  Over the variants removable(v) takes every subset
-    of v's strict ancestors, so one `_Column` on g per (v, subset) gives
-    every key's flow, read from the sweep-wide `flows` memo.  The
-    enumeration ranks share one memo of (sources, targets) searches, as
-    every variant has g's paths.  Graphs are built only to record the
-    failing (v, Q) of a disagreeing key, from the key table.
+    only (removable, Q).  Three phases: a key table per graph (flows and
+    enumeration ranks), one `_modal_ranks` call for all the graphs, then
+    agreement and records per graph, in the given order.
     """
-    vs, p = g.vertices, g.num_vertices
-    plan = [(v, _subsets(g.parents(v))) for v in vs]
+    tables = [(g, variants, b_stack, *_key_table(g, variants, flows)) for g, variants, b_stack in graphs]
+    modals = _modal_ranks([(g, b_stack, list(enums)) for g, _, b_stack, _, _, enums in tables])
+    for (g, variants, _, plan, table, enums), modal in zip(tables, modals):
+        ranks = {key: (enum, m) for (key, enum), m in zip(enums.items(), modal)}
+        _record(g, variants, plan, table, ranks, report)
+
+
+def _key_table(g: MixedGraph, variants: bool, flows: dict):
+    """g's (v, subsets of pa(v)) plan, its {(v, removable, Q): flow} table and {(removable, Q): enumeration rank}.
+
+    Over the variants removable(v) takes every subset of v's strict
+    ancestors, so one `_Column` on g per (v, subset) gives every key's flow,
+    read from the sweep-wide `flows` memo.  The enumeration ranks share one
+    memo of (sources, targets) searches, as every variant has g's paths.
+    """
+    plan = [(v, _subsets(g.parents(v))) for v in g.vertices]
     table = {}
     for v, qs in plan:
         for removable in _subsets(g.sort_vertices(g.ancestors(v) - {v})) if variants else [g.removable(v)]:
             col = _Column(g, v, removable)
             for q in qs:
                 table[v, removable, q] = col.rank(q, flows)
-    keys = list(dict.fromkeys(key[1:] for key in table))
-    modals = _modal_ranks(g, b_stack, keys)
     searches = {}
-    ranks = {key: (_enum_rank(g, *key, ENUMERATION_CAP, searches), modal) for key, modal in zip(keys, modals)}
+    enums = {key: _enum_rank(g, *key, ENUMERATION_CAP, searches) for key in dict.fromkeys(key[1:] for key in table)}
+    return plan, table, enums
+
+
+def _record(g: MixedGraph, variants: bool, plan, table: dict, ranks: dict, report: dict):
+    """Add g's totals, in closed form, to `report`, and a record per failing check of a disagreeing key.
+
+    Graphs are built only then: the variants of g in order, each failing
+    (v, Q) read from the key table.
+    """
+    vs, p = g.vertices, g.num_vertices
     count = 1 << p * (p - 1) // 2 if variants else 1
     report["graphs"] += count
     report["checks"] += count * sum(len(qs) for _, qs in plan)
@@ -442,25 +462,40 @@ def _check(g: MixedGraph, variants: bool, b_stack, flows: dict, report: dict):
                     report["mismatches"].append({"vertices": list(vs), **edges, "v": v, "q": list(q), **values})
 
 
-def _modal_ranks(g: MixedGraph, b_stack, keys) -> list:
-    """Most common numeric rank over the draws of each (removable, q) key's (q, removable) path-matrix block.
+def _modal_ranks(items) -> list:
+    """Per `(g, b_stack, keys)` item, the most common numeric rank over the draws of each
+    (removable, q) key's (q, removable) path-matrix block.
 
-    A key with an empty side has rank 0.  The blocks of one shape share one
-    SVD call over keys x draws; ties go to the rank drawn first.
+    A key with an empty side has rank 0.  The items' stacks, of one draw
+    count, are zero-padded into one array, so the blocks of one shape over
+    all items take one gather and one SVD call over keys x draws.
     """
-    out = [0] * len(keys)
+    out = [[0] * len(keys) for _, _, keys in items]
+    p = max(g.num_vertices for g, _, _ in items)
+    stacks = np.zeros((len(items[0][1]), len(items), p, p))
     shapes = {}
-    for k, (removable, q) in enumerate(keys):
-        if removable and q:
-            shapes.setdefault((len(q), len(removable)), []).append(k)
-    for ks in shapes.values():
-        rows = np.array([[g.index(u) for u in keys[k][1]] for k in ks])
-        cols = np.array([[g.index(u) for u in keys[k][0]] for k in ks])
-        # (draws, keys, |q|, |removable|) blocks, ranked per draw, then read per key.
-        blocks = b_stack[:, rows[:, :, None], cols[:, None, :]]
-        for k, ranks in zip(ks, _rank(np.linalg.svd(blocks, compute_uv=False)).T.tolist()):
-            out[k] = Counter(ranks).most_common(1)[0][0]
+    for i, (g, b_stack, keys) in enumerate(items):
+        stacks[:, i, : g.num_vertices, : g.num_vertices] = b_stack
+        for k, (removable, q) in enumerate(keys):
+            if removable and q:
+                at, rows, cols = shapes.setdefault((len(q), len(removable)), ([], [], []))
+                at.append((i, k))
+                rows.append([g.index(u) for u in q])
+                cols.append([g.index(u) for u in removable])
+    for at, rows, cols in shapes.values():
+        item = np.array([i for i, _ in at])
+        # (draws, keys, |q|, |removable|) blocks, ranked per draw, then moded per key.
+        blocks = stacks[:, item[:, None, None], np.array(rows)[:, :, None], np.array(cols)[:, None, :]]
+        for (i, k), mode in zip(at, _modes(_rank(np.linalg.svd(blocks, compute_uv=False)).T).tolist()):
+            out[i][k] = mode
     return out
+
+
+def _modes(rows: np.ndarray) -> np.ndarray:
+    """Each row's most common value; a tie goes to the value that comes first in the row,
+    as with `Counter(row).most_common(1)`."""
+    counts = (rows[:, :, None] == rows[:, None, :]).sum(-1)
+    return rows[np.arange(len(rows)), counts.argmax(1)]
 
 
 def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
@@ -483,25 +518,34 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000)
     Returns {"graphs": count, "checks": count, "mismatches": [...]}.  On
     p <= 4 vertices each directed part stands for its 2^C(p,2) bidirected
     variants, which share its parameter draws; each sampled graph stands
-    for itself.  `_check` decides every check from its (v, removable, Q) key.
-    Max flows are memoised for the whole sweep under the built network, the
-    solver's complete input, so each distinct network is solved once.
+    for itself.  `_check` decides every check from its (v, removable, Q) key,
+    `_CHUNK` graphs at a time, drawn as the chunk is reached, so the modal
+    ranks of a chunk share their SVD calls and only one chunk's key tables
+    are held.  Max flows are memoised for the whole sweep under the built
+    network, the solver's complete input, so each distinct network is
+    solved once.
     """
-
-    from .simulate import random_admg
-
     report = {"graphs": 0, "checks": 0, "mismatches": []}
     flows = {}
+    graphs = _sweep_graphs(max_vertices, seed, sample_count)
+    for chunk in iter(lambda: list(islice(graphs, _CHUNK)), []):
+        _check(chunk, flows, report)
+    return report
+
+
+def _sweep_graphs(max_vertices: int, seed: int, sample_count: int):
+    """`verify_sweep`'s (g, variants, b_stack) items in order, each drawn from its own seed."""
+    from .simulate import random_admg
+
     for p in range(1, min(max_vertices, 4) + 1):
         vertices = [f"v{i + 1}" for i in range(p)]
         for dag_idx, dag in enumerate(all_dags(p)):
             base = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
-            _check(base, True, draw_b_stack(base, rng, 5), flows, report)
+            yield base, True, draw_b_stack(base, rng, 5)
     for p in range(5, max_vertices + 1):
         densities = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         for i in range(sample_count):
             g = random_admg(p, densities[i % len(densities)], seed=seed * 100003 + i)
             rng = np.random.default_rng(np.random.SeedSequence(seed + i))
-            _check(g, False, draw_b_stack(g, rng, 5), flows, report)
-    return report
+            yield g, False, draw_b_stack(g, rng, 5)

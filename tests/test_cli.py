@@ -418,6 +418,18 @@ class TestVerify:
         assert len(dump) == 4
         assert all(m["q"] and m["flow"] == m["enumeration"] + 1 for m in dump)
 
+    @pytest.mark.parametrize(
+        "max_vertices, digest",
+        [
+            ("4", "a7e8c582cbe0fa34bd4dde80eb240327518624e18a9f9dadb70b702e097d212a"),
+            ("5", "477b40d80c1b55cebebe3a4b2bb8a76188fd4a6a3051727651d317739bd5617f"),
+        ],
+    )
+    def test_stdout_matches_stored_digest(self, max_vertices, digest, capsys):
+        # Recorded when each directed part took its own modal-rank call.
+        assert main(["verify", "--max-vertices", max_vertices, "--seed", "0"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_cap_enforced(self, capsys):
         assert main(["verify", "--max-vertices", "7"]) == 2
 

@@ -1,7 +1,8 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -467,6 +468,24 @@ def per_key_modal_rank(g, b_stack, removable, q):
     return Counter(ranks.tolist()).most_common(1)[0][0]
 
 
+def dag_modal_items(seed):
+    """Per DAG with p <= 4, in sweep order: (g, its sweep draws, its sorted non-empty (removable, Q) keys)."""
+    for p in range(1, 5):
+        vertices = [f"v{i + 1}" for i in range(p)]
+        for dag_idx, dag in enumerate(all_dags(p)):
+            g = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
+            keys = set()
+            for v in vertices:
+                anc = g.sort_vertices(g.ancestors(v) - {v})
+                pa = g.parents(v)
+                for r in range(1, len(anc) + 1):
+                    for removable in combinations(anc, r):
+                        for size in range(1, len(pa) + 1):
+                            keys.update((removable, q) for q in combinations(pa, size))
+            yield g, oracle.draw_b_stack(g, rng, 5), sorted(keys)
+
+
 def reference_report(graphs):
     """The verify report of (graph, draws) pairs, one check at a time.
 
@@ -547,8 +566,8 @@ class TestVerifySweep:
         else:
             modal = oracle._modal_ranks
 
-            def broken_modal(g, b_stack, keys):
-                return [r + bool(q) for r, (_, q) in zip(modal(g, b_stack, keys), keys)]
+            def broken_modal(items):
+                return [[r + bool(q) for r, (_, q) in zip(ranks, keys)] for ranks, (_, _, keys) in zip(modal(items), items)]
 
             monkeypatch.setattr(oracle, "_modal_ranks", broken_modal)
         report = verify_sweep(3, 0)
@@ -719,24 +738,65 @@ class TestVerifySweep:
 
     def test_batched_modal_ranks_equal_the_per_key_mode(self):
         # Every non-empty (removable, Q) key of every DAG with p <= 4, on the
-        # sweep's seeded draws; the reference takes one SVD per key.
+        # sweep's seeded draws, one DAG per call; the reference takes one SVD per key.
         keys_checked = 0
-        for p in range(1, 5):
-            vertices = [f"v{i + 1}" for i in range(p)]
-            for dag_idx, dag in enumerate(all_dags(p)):
-                g = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
-                rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(p, dag_idx)))
-                b_stack = oracle.draw_b_stack(g, rng, 5)
-                keys = set()
-                for v in vertices:
-                    anc = g.sort_vertices(g.ancestors(v) - {v})
-                    pa = g.parents(v)
-                    for r in range(1, len(anc) + 1):
-                        for removable in combinations(anc, r):
-                            for s in range(1, len(pa) + 1):
-                                keys.update((removable, q) for q in combinations(pa, s))
-                keys = sorted(keys)
-                expected = [per_key_modal_rank(g, b_stack, removable, q) for removable, q in keys]
-                assert oracle._modal_ranks(g, b_stack, keys) == expected
-                keys_checked += len(keys)
+        for g, b_stack, keys in dag_modal_items(0):
+            expected = [per_key_modal_rank(g, b_stack, removable, q) for removable, q in keys]
+            assert oracle._modal_ranks([(g, b_stack, keys)]) == [expected]
+            keys_checked += len(keys)
         assert keys_checked == 11122
+
+    def test_one_modal_call_over_every_dag_equals_the_per_key_mode(self):
+        # All 572 DAGs in one call: stacks of 1 to 4 vertices padded into one
+        # array, every block shape gathered across DAGs.
+        items = list(dag_modal_items(0))
+        assert len(items) == 572
+        expected = [[per_key_modal_rank(g, b_stack, removable, q) for removable, q in keys] for g, b_stack, keys in items]
+        assert oracle._modal_ranks(items) == expected
+        assert sum(map(len, expected)) == 11122
+
+    def test_vectorised_mode_breaks_ties_as_counter_does(self):
+        # Every row of five ranks in 0..3, so every tie pattern of five draws.
+        rows = np.array(list(product(range(4), repeat=5)))
+        assert rows.shape == (1024, 5)
+        assert oracle._modes(rows).tolist() == [Counter(row).most_common(1)[0][0] for row in rows.tolist()]
+
+    def test_four_vertex_sweep_batches_its_svds(self, monkeypatch):
+        # One SVD call per block shape per chunk of DAGs; one per shape per DAG made 2,811.
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        report = verify_sweep(4, 0)
+        assert (report["graphs"], report["checks"], report["mismatches"]) == (34959, 323121, [])
+        assert len(calls) == 281
+        assert sum(shape[1] for shape in calls) == 11122
+
+    def test_four_vertex_sweep_holds_one_chunk_at_a_time(self):
+        # Holding every DAG's key table at once peaked near 12 MB; chunks of
+        # 16 DAGs peak near 2 MB.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            verify_sweep(4, 0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 3 * 10**6
+
+    def test_broken_engine_four_vertex_report_matches_stored_digest(self, monkeypatch):
+        # Chunks of DAGs cross vertex counts and the record writer; the report
+        # was recorded when each DAG went through its own modal-rank call.
+        count_solves(monkeypatch, broken=True)
+        report = verify_sweep(4, 0)
+        assert len(report["mismatches"]) == 183500
+        digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+        assert digest == "aeb450bf9c772244d333836abf7d9b354184f8c759e3770f6a4ac40faaba08f2"
