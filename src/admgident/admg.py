@@ -60,9 +60,8 @@ class MixedGraph:
         self.bidirected = tuple(
             (u, w) for i, (u, sib) in enumerate(zip(vertices, self._csib)) for w in self._names(sib & -(2 << i))
         )
-        # Closures and the sets read off them, filled on first use; the graph never changes.
+        # Closures, filled on first use; the graph never changes.
         self._an_masks, self._de_masks = [0] * p, [0] * p
-        self._an, self._de, self._removable = {}, {}, {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -106,23 +105,18 @@ class MixedGraph:
 
     def ancestors(self, v: str) -> frozenset:
         """All u with a directed path u -> ... -> v; contains v (trivial path)."""
-        if v not in self._an:
-            self._an[v] = frozenset(self._names(self._an_mask(self.index(v))))
-        return self._an[v]
+        return frozenset(self._names(self._an_mask(self.index(v))))
 
     def descendants(self, v: str) -> frozenset:
         """All u with a directed path v -> ... -> u; contains v (trivial path)."""
-        if v not in self._de:
-            self._de[v] = frozenset(self._names(self._de_mask(self.index(v))))
-        return self._de[v]
+        return frozenset(self._names(self._de_mask(self.index(v))))
 
     def removable(self, v: str) -> tuple[str, ...]:
         """Strict ancestors u of v whose closed sibling set {u} | sib(u) is not inside v's, in declaration order."""
-        if v not in self._removable:
-            self._removable[v] = self._removable_of(self.index(v))
-        return self._removable[v]
+        return self._names(self._removable_of(self.index(v)))
 
-    def _removable_of(self, i: int) -> tuple[str, ...]:
+    def _removable_of(self, i: int) -> int:
+        """Mask of `removable` for vertex i."""
         strict, closed = self._an_mask(i) & ~(1 << i), self._csib[i]
         # Only an ancestor inside v's closed sibling set can have its own inside it too.
         inside = strict & closed
@@ -131,7 +125,7 @@ class MixedGraph:
             inside ^= low
             if not self._csib[low.bit_length() - 1] & ~closed:
                 strict ^= low
-        return self._names(strict)
+        return strict
 
     def _an_mask(self, i: int) -> int:
         return self._an_masks[i] or self._closure(i, self._pa, self._an_masks)

@@ -151,7 +151,7 @@ def cmd_check(args) -> int:
         known = [w for w in _split_names(g, args.known or "") if w]
         doc = {"edge": admg.edge_keys([(u, v)])[u, v], "identifiable": ident.is_identifiable_with_knowledge(g, v, (u,), known)}
         if args.known:
-            doc["known"] = sorted(known)
+            doc["known"] = sorted(set(known))
         _emit(args, _render(args, doc, lambda d: f"{d['edge']}: {'identifiable' if d['identifiable'] else 'not identifiable'}\n"))
         return 0
     report = ident.is_matrix_identifiable(g)
@@ -285,8 +285,10 @@ def survey(p: int, densities, reps: int, seed: int):
     """SurveyRow per density: proportion of identifiable sampled graphs.
 
     Deterministic per seed: every graph draws from a stream keyed by
-    (density index, repetition).
+    (density index, repetition).  Every density is checked first, whatever `reps` is.
     """
+    for density in densities:
+        simulate.edge_count(p, density)
     if reps < 1:
         return []
     return [

@@ -437,10 +437,14 @@ def fit(
         lam[layout.edges] = vec
         return lam
 
+    trace = []  # opened by fun's first call, at x0, where L-BFGS-B starts
+
     def fun(vec):
         value, grad = _value_and_gradient(layout, pack(vec))
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise _NonFinite(vec)
+        if not trace:
+            trace.append(value)
         return value, grad
 
     def unscale(vec: np.ndarray) -> ParamMatrix:
@@ -454,44 +458,38 @@ def fit(
         trace.append(intermediate_result.fun)
 
     try:
-        trace = [fun(x0)[0]]
-        if not edges:
-            return EstimateResult(
-                lam_hat=ParamMatrix(g, {}),
-                objective_trace=tuple(trace),
-                iterations=0,
-                converged=True,
-                init_kind=init_kind,
-                final_objective=trace[0],
-            )
-        # imported here, not at the top: it is most of the package's import time, and only fits use it
-        from scipy.optimize import minimize
+        if edges:
+            # imported here, not at the top: it is most of the package's import time, and only fits use it
+            from scipy.optimize import minimize
 
-        res = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(-box, box)),
-            callback=record,
-            options={
-                "maxiter": _MAX_ITER,
-                "maxcor": 10,
-                "gtol": _GRAD_TOL,
-                "ftol": 1e-14,
-            },
-        )
+            res = minimize(
+                fun,
+                x0,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=list(zip(-box, box)),
+                callback=record,
+                options={
+                    "maxiter": _MAX_ITER,
+                    "maxcor": 10,
+                    "gtol": _GRAD_TOL,
+                    "ftol": 1e-14,
+                },
+            )
+            x, iterations, converged, final = res.x, int(res.nit), bool(res.status == 0), float(res.fun)
+        else:
+            x, iterations, converged, final = x0, 0, True, fun(x0)[0]
     except _NonFinite as exc:
         message = "objective became non-finite during optimization"
         raise NonFiniteObjective(message, last_iterate=unscale(exc.vec)) from None
 
     return EstimateResult(
-        lam_hat=unscale(res.x),
+        lam_hat=unscale(x),
         objective_trace=tuple(trace),
-        iterations=int(res.nit),
-        converged=bool(res.status == 0),
+        iterations=iterations,
+        converged=converged,
         init_kind=init_kind,
-        final_objective=float(res.fun),
+        final_objective=final,
     )
 
 

@@ -25,7 +25,7 @@ from .errors import CyclicGraph, InvalidFactorGraph, NotCycleDecomposable
 def removable_ancestors(g: MixedGraph, v: str) -> frozenset:
     """Ancestors u of v (u != v) whose closed sibling set {u} | sib(u) is not contained in {v} | sib(v).
 
-    The set form of the cached tuple `MixedGraph.removable`, which the engine reads."""
+    The set form of the tuple `MixedGraph.removable`, which the engine reads."""
     return frozenset(g.removable(v))
 
 
@@ -336,48 +336,45 @@ def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
     columns = {}
     verdicts = {}
-    for v in g.vertices:
-        pa = g.parents(v)
-        removable = g.removable(v)
-        if _full_rank_by_sizes(pa, removable):
-            columns[v] = ColumnVerdict(removable, len(pa), True, tuple((u,) for u in pa))
-            verdicts.update(((u, v), True) for u in pa)
-            continue
-        solved = _Column(g, v, removable).solve(pa)
-        ok = solved.rank == len(pa)
-        columns[v] = ColumnVerdict(
-            removable=removable,
-            rank=solved.rank,
-            identifiable=ok,
-            witness=solved.paths() if ok else (),
-        )
-        for u in pa:
-            verdicts[u, v] = ok or solved.coloop(u)
+    for i, v in enumerate(g.vertices):
+        pa_mask, removable_mask = g._pa[i], g._removable_of(i)
+        pa, removable = g._names(pa_mask), g._names(removable_mask)
+        if _full_rank_by_sizes(pa_mask, removable_mask):
+            rank, witness = len(pa), tuple((u,) for u in pa)
+        else:
+            solved = _Column(g, v, removable).solve(pa)
+            rank, witness = solved.rank, solved.paths() if solved.rank == len(pa) else ()
+        ok = rank == len(pa)
+        columns[v] = ColumnVerdict(removable, rank, ok, witness)
+        # an edge into a full-rank column is identifiable, so `solved` is read only where it was just made
+        verdicts.update(((u, v), ok or solved.coloop(u)) for u in pa)
     edges = {e: verdicts[e] for e in g.directed}
     return IdentReport(columns=columns, edges=edges)
 
 
-def _full_rank_by_sizes(pa, removable):
-    """Whether the v-rank of pa reaches |pa| where the sets alone decide it, else None.  Yes when
-    pa lies inside removable: the parents are |pa| disjoint trivial paths, the ones Dinic's first phase
-    finds, in pa order.  No when |pa| > |removable|: each path starts at its own removable vertex."""
-    if set(pa) <= set(removable):
+def _full_rank_by_sizes(pa: int, removable: int):
+    """Whether the v-rank of pa reaches |pa| where the vertex masks alone decide it, else None.  Yes
+    when pa lies inside removable: the parents are |pa| disjoint trivial paths, the ones Dinic's first
+    phase finds, in pa order.  No when |pa| > |removable|: each path starts at its own removable vertex."""
+    if not pa & ~removable:
         return True
-    return False if len(pa) > len(removable) else None
+    return False if pa.bit_count() > removable.bit_count() else None
 
 
-def _column_full_rank(g: MixedGraph, v: str) -> bool:
-    """Whether the v-rank of pa(v) reaches |pa(v)|: by `_full_rank_by_sizes`, else by one solve."""
-    pa, removable = g.parents(v), g.removable(v)
+def _column_full_rank(g: MixedGraph, i: int) -> bool:
+    """Whether the v-rank of pa(v), v the i-th vertex, reaches |pa(v)|: by `_full_rank_by_sizes`, else by one solve."""
+    pa, removable = g._pa[i], g._removable_of(i)
     full = _full_rank_by_sizes(pa, removable)
-    return full if full is not None else _Column(g, v, removable).solve(pa).rank == len(pa)
+    if full is not None:
+        return full
+    return _Column(g, g.vertices[i], g._names(removable)).solve(g._names(pa)).rank == pa.bit_count()
 
 
 def matrix_generically_identifiable(g: MixedGraph) -> bool:
     """Column check only, short-circuiting on the first failure."""
     if not is_acyclic(g):
         raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
-    return all(_column_full_rank(g, v) for v in g.vertices)
+    return all(_column_full_rank(g, i) for i in range(g.num_vertices))
 
 
 def cyclic_necessary_condition(g: MixedGraph) -> dict:
@@ -388,7 +385,7 @@ def cyclic_necessary_condition(g: MixedGraph) -> dict:
     coefficient matrix is not identifiable; all True is necessary but not
     sufficient on cyclic graphs (a plain 2-cycle passes yet fails).
     """
-    return {v: _column_full_rank(g, v) for v in g.vertices}
+    return {v: _column_full_rank(g, i) for i, v in enumerate(g.vertices)}
 
 
 def cycle_decomposition_identifiable(g: MixedGraph) -> bool:
@@ -406,29 +403,27 @@ def cycle_decomposition_identifiable(g: MixedGraph) -> bool:
     # Decide only once every component has passed, so the verdict does not
     # depend on the order in which the vertices were declared.
     flippable = False
-    seen = set()
-    for i, v in enumerate(g.vertices):
-        if v in seen:
+    seen = 0
+    for i in range(g.num_vertices):
+        if seen >> i & 1:
             continue
         # The first unseen vertex opens its strongly connected component, so
         # components come in the declaration order of their first members.
-        comp = g._names(g._an_mask(i) & g._de_mask(i))
-        members = set(comp)
-        seen |= members
-        if len(comp) < 2:
+        comp = g._an_mask(i) & g._de_mask(i)
+        seen |= comp
+        members = [u for u in range(g.num_vertices) if comp >> u & 1]
+        if len(members) < 2:
             raise NotCycleDecomposable(
-                f"component {list(comp)!r} is not a directed cycle"
+                f"component {list(g._names(comp))!r} is not a directed cycle"
             )
-        for u in comp:
-            inside_out = [w for w in g.children(u) if w in members]
-            inside_in = [w for w in g.parents(u) if w in members]
-            if len(inside_out) != 1 or len(inside_in) != 1:
+        for u in members:
+            if (g._ch[u] & comp).bit_count() != 1 or (g._pa[u] & comp).bit_count() != 1:
                 raise NotCycleDecomposable(
-                    f"component {list(comp)!r} is not a single simple cycle"
+                    f"component {list(g._names(comp))!r} is not a single simple cycle"
                 )
-        if len(comp) == 2:
-            a, b = comp
-            flippable |= set(g.parents(a)) - members == set(g.parents(b)) - members
+        if len(members) == 2:
+            a, b = members
+            flippable |= g._pa[a] & ~comp == g._pa[b] & ~comp
     return not flippable
 
 

@@ -426,8 +426,8 @@ def _key_table(g: MixedGraph, variants: bool, flows: dict):
     """
     plan = [(v, _subsets(g.parents(v))) for v in g.vertices]
     table = {}
-    for v, qs in plan:
-        for removable in _subsets(g.sort_vertices(g.ancestors(v) - {v})) if variants else [g.removable(v)]:
+    for i, (v, qs) in enumerate(plan):
+        for removable in _subsets(g._names(g._an_mask(i) & ~(1 << i))) if variants else [g.removable(v)]:
             col = _Column(g, v, removable)
             for q in qs:
                 table[v, removable, q] = col.rank(q, flows)

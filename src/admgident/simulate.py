@@ -109,14 +109,8 @@ def _uniform_draw(rng: np.random.Generator, sd: float, n: int) -> np.ndarray:
     return (rng.random(n) * 2.0 - 1.0) * half
 
 
-def random_admg(p: int, density: float, seed: int) -> MixedGraph:
-    """Random mixed graph: e = floor(density * p * (p-1)) edges split at random.
-
-    A uniform integer e_d of them become directed edges of a random DAG (a
-    random causal order plus e_d forward pairs without replacement); the rest
-    become bidirected edges.  e_d is clamped to the feasible window when e
-    exceeds the p-choose-2 capacity of either edge class.
-    """
+def edge_count(p: int, density: float) -> int:
+    """e = floor(density * p * (p-1)), the edge count of a `random_admg`; an InvalidDensity unless 1 <= e <= p(p-1)."""
     if p < 2:
         raise InvalidDensity("need at least 2 vertices")
     e = math.floor(density * p * (p - 1))
@@ -124,6 +118,18 @@ def random_admg(p: int, density: float, seed: int) -> MixedGraph:
         raise InvalidDensity(f"density {density} yields no edges for p={p}")
     if e > p * (p - 1):
         raise InvalidDensity(f"density {density} yields {e} edges, more than the {p * (p - 1)} possible for p={p}")
+    return e
+
+
+def random_admg(p: int, density: float, seed: int) -> MixedGraph:
+    """Random mixed graph: e = `edge_count(p, density)` edges split at random.
+
+    A uniform integer e_d of them become directed edges of a random DAG (a
+    random causal order plus e_d forward pairs without replacement); the rest
+    become bidirected edges.  e_d is clamped to the feasible window when e
+    exceeds the p-choose-2 capacity of either edge class.
+    """
+    e = edge_count(p, density)
     max_pairs = p * (p - 1) // 2
     rng = _stream(seed, _K_GRAPH)
     order = rng.permutation(p)

@@ -77,6 +77,14 @@ class TestCheck:
         assert main(["check", diamond_file, "--edge", "v2,v4", "--known", "v3"]) == 0
         assert json.loads(capsys.readouterr().out)["identifiable"] is True
 
+    def test_known_lists_each_parent_once(self, diamond_file, capsys):
+        # k is a set: a repeated name is listed once, in sorted order, as without the repeat.
+        assert main(["check", diamond_file, "--edge", "v2,v4", "--known", "v3,v2,v3"]) == 0
+        repeated = json.loads(capsys.readouterr().out)
+        assert repeated["known"] == ["v2", "v3"]
+        assert main(["check", diamond_file, "--edge", "v2,v4", "--known", "v2,v3"]) == 0
+        assert json.loads(capsys.readouterr().out) == repeated
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
@@ -473,6 +481,16 @@ class TestSurvey:
         assert main(["survey", "--p", "5", "--densities", "1.5:1.5:0.1", "--reps", "1"]) == 3
         assert "yields 30 edges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    @pytest.mark.parametrize("p, density, needle", [("5", "1.5", "yields 30 edges"), ("-5", "0.5", "at least 2 vertices")])
+    def test_invalid_model_exit_3_whatever_reps(self, reps, p, density, needle, tmp_path, capsys):
+        # every density is checked before any graph is sampled, and nothing is written
+        out = tmp_path / "survey.csv"
+        argv = ["survey", "--p", p, "--densities", f"{density}:{density}:0.1", "--reps", reps, "--out", str(out)]
+        assert main(argv) == 3
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_are_deterministic_per_seed(self):
         rows = survey(4, [0.4, 0.7], 6, seed=3)
         assert rows == survey(4, [0.4, 0.7], 6, seed=3)
@@ -837,7 +855,7 @@ class TestInputFuzz:
     @settings(max_examples=100, deadline=None)
     @given(text=_DENSITY_TEXT, p_reps=st.sampled_from([("4", "0"), ("1", "1")]))
     def test_density_strings(self, text, p_reps):
-        # --reps 0 parses the range and samples nothing; p = 1 fails on the first graph (exit 3).
+        # --reps 0 samples nothing, but a density outside the model still exits 3; so does p = 1.
         p, reps = p_reps
         try:
             code = main(["survey", "--p", p, "--reps", reps, "--densities", text])

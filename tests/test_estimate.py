@@ -623,7 +623,7 @@ class TestFit:
         res = fit(g, data, polynomial_kernel(2, 1.0), regression_init(g, data))
         evaluations = calls["_value_and_gradient"]
         assert res.iterations > 1
-        assert evaluations == scipy_results[0].nfev + 1
+        assert evaluations == scipy_results[0].nfev
         assert calls["_Layout"] == 1
         assert calls["cross-covariance"] == evaluations
         assert len(res.objective_trace) == res.iterations + 1

@@ -567,8 +567,8 @@ class TestMatrixReport:
 
     def test_one_ancestor_search_and_one_removable_set_per_column(self, monkeypatch):
         # Each column's network needs an(v) and its removable subset; the graph
-        # computes each once, as a mask closure and a cached tuple, and the
-        # acyclicity test, the size test and the network all read them.
+        # computes each once per column, as a memoised mask closure and a mask,
+        # and the acyclicity test, the size test and the network all read them.
         closures = []
         removables = []
         closure = MixedGraph._closure
@@ -595,6 +595,26 @@ class TestMatrixReport:
         for seed in range(40):
             g = random_admg(5, 0.5, seed)
             assert matrix_generically_identifiable(g) == is_matrix_identifiable(g).all_identifiable
+
+    def test_size_rule_decides_dags_on_masks_without_names(self, monkeypatch):
+        # With no bidirected edge every strict ancestor is removable, so pa(v) lies inside
+        # removable(v): the size rule decides each column from masks, and no name is made.
+        dags = []
+        for seed in range(40):
+            g = random_admg(25, DENSITIES[seed % len(DENSITIES)], seed)
+            dags.append(MixedGraph(g.vertices, g.directed))
+        calls = []
+        names = MixedGraph._names
+
+        def counting_names(self, mask):
+            calls.append(mask)
+            return names(self, mask)
+
+        monkeypatch.setattr(MixedGraph, "_names", counting_names)
+        for g in dags:
+            assert all(ident._full_rank_by_sizes(g._pa[i], g._removable_of(i)) for i in range(25))
+            assert matrix_generically_identifiable(g)
+        assert calls == []
 
 
 class TestCyclicChecks:
