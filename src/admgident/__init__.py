@@ -40,7 +40,6 @@ from .ident import (
     witness_paths,
 )
 from .oracle import (
-    ParamMatrix,
     a_matrix,
     brute_force_v_rank,
     cross_check_graph,
@@ -50,14 +49,15 @@ from .oracle import (
     fiber_q_unique,
     gvl_check,
     nongeneric_locus_check,
-    path_matrix,
     verify_sweep,
 )
 from .simulate import (
     Dataset,
     ErrorModel,
+    ParamMatrix,
     empirical_cumulant,
     generate_data,
+    path_matrix,
     random_admg,
     read_dataset,
     sample_errors,

@@ -15,8 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import admg, estimate, ident, oracle, simulate
 from .errors import (
     AdmgIdentError,
@@ -277,10 +275,6 @@ def cmd_verify(args) -> int:
 # -- survey ----------------------------------------------------------------------
 
 
-def _graph_seed(seed: int, density_index: int, rep: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(density_index, rep)).generate_state(1)[0])
-
-
 def survey(p: int, densities, reps: int, seed: int):
     """SurveyRow per density: proportion of identifiable sampled graphs.
 
@@ -297,7 +291,7 @@ def survey(p: int, densities, reps: int, seed: int):
             density=round(density, 10),
             graphs_sampled=reps,
             proportion_identifiable=sum(
-                ident.matrix_generically_identifiable(simulate.random_admg(p, density, _graph_seed(seed, di, i)))
+                ident.matrix_generically_identifiable(simulate.random_admg(p, density, simulate._graph_seed(seed, di, i)))
                 for i in range(reps)
             ) / reps,
             seed=seed,
@@ -386,7 +380,7 @@ def cmd_estimate(args) -> int:
     true_lam = None
     if args.true_params:
         with open(args.true_params, encoding="utf-8") as fh:
-            true_lam = oracle.ParamMatrix.from_json(g, fh.read())
+            true_lam = simulate.ParamMatrix.from_json(g, fh.read())
     if args.init == "reg":
         init, kind = estimate.regression_init(g, ds), "regression"
     elif args.init == "tv":
@@ -394,8 +388,8 @@ def cmd_estimate(args) -> int:
             raise GraphFormatError("--init tv requires --true-params")
         init, kind = true_lam, "true-value"
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(99,)))
-        init = oracle.ParamMatrix(g, {e: float(rng.uniform(-1, 1)) for e in g.directed})
+        rng = simulate._stream(args.seed, 99)
+        init = simulate.ParamMatrix(g, {e: float(rng.uniform(-1, 1)) for e in g.directed})
         kind = "random"
     result = estimate.fit(g, ds, kernels, init, init_kind=kind)
     doc = result.to_dict()

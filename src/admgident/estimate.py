@@ -22,8 +22,7 @@ from .errors import (
     RankDeficientParents,
     ZeroTrueMatrix,
 )
-from .oracle import ParamMatrix
-from .simulate import Dataset
+from .simulate import Dataset, ParamMatrix
 
 POLYNOMIAL = "polynomial"
 RBF = "rbf"
@@ -35,7 +34,8 @@ class KernelSpec:
 
     An RBF bandwidth of None means "resolve by the median heuristic on the
     data it is first applied to"; fit() resolves bandwidths once, at the
-    initial residuals, and holds them fixed during optimization.
+    residuals of its start clipped into the box, and holds them fixed during
+    optimization.
     """
 
     kind: str
@@ -397,10 +397,10 @@ def fit(
 ) -> EstimateResult:
     """Minimize the residual-dependence objective from the given start.
 
-    RBF bandwidths are resolved once at the initial residuals and then held
-    fixed, keeping the objective smooth in the coefficients.  Coefficients
-    are box-constrained to |value| <= _BOUND.  The search runs on columns
-    scaled to unit variance: independence is scale-invariant, so the
+    Coefficients are box-constrained to |value| <= _BOUND.  RBF bandwidths
+    are resolved once at the residuals of the start, clipped into the box,
+    and then held fixed, keeping the objective smooth in the coefficients.
+    The search runs on columns scaled to unit variance: independence is scale-invariant, so the
     population zero set is unchanged, while conditioning improves a lot on
     data whose column variances span orders of magnitude.  Results come
     back in the original coordinates.
@@ -429,8 +429,8 @@ def fit(
         box = _BOUND * edge_scale
     ds = Dataset(ds.columns, ds.values / sd, ds.provenance)
 
-    layout = _Layout(g, _resolved(g, kernels, ds, init), ds.values)
     x0 = np.clip([init.values.get(edge, 0.0) for edge in edges], -box, box)
+    layout = _Layout(g, _resolved(g, kernels, ds, ParamMatrix(g, dict(zip(edges, x0)))), ds.values)
 
     def pack(vec: np.ndarray) -> np.ndarray:
         lam = np.zeros((p, p))
@@ -440,7 +440,8 @@ def fit(
     trace = []  # opened by fun's first call, at x0, where L-BFGS-B starts
 
     def fun(vec):
-        value, grad = _value_and_gradient(layout, pack(vec))
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports an overflow
+            value, grad = _value_and_gradient(layout, pack(vec))
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise _NonFinite(vec)
         if not trace:

@@ -1,6 +1,5 @@
-"""Parameter matrices, path matrices, and brute-force verifiers of the flow engine.
+"""Brute-force verifiers of the flow engine.
 
-`ParamMatrix` and `path_matrix` serve `simulate` and `estimate` as well.
 The verifiers cross-check the flow engine by independent means: numeric
 ranks of path-matrix blocks, exhaustive vertex-disjoint path-system search,
 and the linear system whose solution space is the parameter fiber.
@@ -8,110 +7,20 @@ and the linear system whose solution space is the parameter fiber.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
 
-from .admg import MixedGraph, edge_keys, finite_number, is_acyclic, load_json_object
-from .errors import (
-    BindingMismatch,
-    CyclicGraph,
-    GraphFormatError,
-    InvalidDrawCount,
-    SingularMatrix,
-    SizeMismatch,
-    TooLarge,
-)
+from .admg import MixedGraph, is_acyclic
+from .errors import BindingMismatch, CyclicGraph, InvalidDrawCount, SizeMismatch, TooLarge
 from .ident import _Column, v_rank
+from .simulate import ParamMatrix, _power_sum, _stream, path_matrix, random_admg
 
 RANK_TOL = 1e-8
-DET_TOL = 1e-8
 ENUMERATION_CAP = 10**6
 _MAX_GVL_VERTICES = 8
 # Graphs per `_check` call in `verify_sweep`: enough to batch the SVDs, few enough to keep memory flat.
 _CHUNK = 16
-
-
-@dataclass(frozen=True)
-class ParamMatrix:
-    """A real coefficient matrix supported on the directed edges of a graph."""
-
-    graph: MixedGraph
-    values: dict
-
-    def __post_init__(self):
-        edge_set = set(self.graph.directed)
-        for edge in self.values:
-            if edge not in edge_set:
-                raise BindingMismatch(f"{edge!r} is not a directed edge of the graph")
-
-    def get(self, u: str, v: str) -> float:
-        return self.values.get((u, v), 0.0)
-
-    def dense(self) -> np.ndarray:
-        p = self.graph.num_vertices
-        lam = np.zeros((p, p))
-        for (u, v), x in self.values.items():
-            lam[self.graph.index(u), self.graph.index(v)] = x
-        return lam
-
-    def to_json(self) -> str:
-        """The coefficients under `edge_keys`; two edges that render one key are a BindingMismatch."""
-        doc = {
-            "vertices": list(self.graph.vertices),
-            "edges": {key: self.values.get(edge, 0.0) for edge, key in edge_keys(self.graph.directed).items()},
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(graph: MixedGraph, text: str) -> "ParamMatrix":
-        """Inverse of to_json; a malformed document is a GraphFormatError.
-
-        Keys are matched against the graph's own `edge_keys`, so vertex names
-        may contain "->"; a key that names no edge stays a string, which
-        construction rejects as a BindingMismatch.  So is a graph whose edges
-        render one key.
-        """
-        edges = load_json_object(text, "parameter JSON").get("edges", {})
-        if not isinstance(edges, dict):
-            raise GraphFormatError("parameter JSON must be an object whose 'edges' is an object")
-        keys = {key: edge for edge, key in edge_keys(graph.directed).items()}
-        values = {}
-        for key, x in edges.items():
-            if not finite_number(x):
-                raise GraphFormatError(f"parameter {key!r} must be a finite number, got {x!r:.40}")
-            values[keys.get(key, key)] = float(x)
-        return ParamMatrix(graph, values)
-
-
-def path_matrix(lam: ParamMatrix) -> np.ndarray:
-    """B = (I - Lambda)^{-T}; entry (w, u) sums the path monomials u -> w.
-
-    Acyclic bindings have det(I - Lambda) = 1 and a nilpotent Lambda, so the
-    inverse is the finite power sum; that route keeps structural zeros exact,
-    which the rank tolerances downstream rely on.  Cyclic bindings invert
-    numerically and raise SingularMatrix near det(I - Lambda) = 0.
-    """
-    dense = lam.dense()
-    if is_acyclic(lam.graph):
-        return _power_sum(dense)
-    a = np.eye(lam.graph.num_vertices) - dense
-    if abs(np.linalg.det(a)) < DET_TOL:
-        raise SingularMatrix("det(I - Lambda) is numerically zero")
-    return np.linalg.inv(a.T)
-
-
-def _power_sum(dense: np.ndarray) -> np.ndarray:
-    """(I + L + ... + L^(p-1))^T for a nilpotent p x p L, or per matrix of a stack of them."""
-    p = dense.shape[-1]
-    power = np.eye(p)
-    total = power + np.zeros_like(dense)
-    for _ in range(p - 1):
-        power = power @ dense
-        total += power
-    return np.swapaxes(total, -1, -2)
 
 
 def enumerate_path_systems(g: MixedGraph, sources, targets, cap: int = ENUMERATION_CAP):
@@ -307,7 +216,7 @@ def fiber_dimension_modal(g: MixedGraph, v: str, pinned=(), seed: int = 0, draws
     if not is_acyclic(g):
         raise CyclicGraph("fiber dimension is defined for acyclic bindings")
     free = _free_parents(g, v, pinned)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _stream(seed)
     return len(free) - _modal_ranks([(g, draw_b_stack(g, rng, draws), [(g.removable(v), free)])])[0][0]
 
 
@@ -388,7 +297,7 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5):
     """
     if not is_acyclic(g):
         raise CyclicGraph("the triple-oracle check is defined for acyclic graphs")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _stream(seed)
     report = {"graphs": 0, "checks": 0, "mismatches": []}
     _check([(g, False, draw_b_stack(g, rng, draws))], {}, report)
     return report["mismatches"]
@@ -535,17 +444,15 @@ def verify_sweep(max_vertices: int = 4, seed: int = 0, sample_count: int = 1000)
 
 def _sweep_graphs(max_vertices: int, seed: int, sample_count: int):
     """`verify_sweep`'s (g, variants, b_stack) items in order, each drawn from its own seed."""
-    from .simulate import random_admg
-
     for p in range(1, min(max_vertices, 4) + 1):
         vertices = [f"v{i + 1}" for i in range(p)]
         for dag_idx, dag in enumerate(all_dags(p)):
             base = MixedGraph(vertices, [(vertices[a], vertices[b]) for a, b in dag])
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p, dag_idx)))
+            rng = _stream(seed, p, dag_idx)
             yield base, True, draw_b_stack(base, rng, 5)
     for p in range(5, max_vertices + 1):
         densities = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         for i in range(sample_count):
             g = random_admg(p, densities[i % len(densities)], seed=seed * 100003 + i)
-            rng = np.random.default_rng(np.random.SeedSequence(seed + i))
+            rng = _stream(seed + i)
             yield g, False, draw_b_stack(g, rng, 5)

@@ -1,8 +1,10 @@
-"""Random graphs, non-Gaussian error sampling, SEM data generation, cumulants.
+"""The model layer: coefficient and path matrices, random graphs, non-Gaussian
+error sampling, SEM data generation, cumulants.
 
-All randomness flows through seeded, splittable streams: each column, edge,
-or latent draws from its own stream keyed by stable indices, so enlarging a
-graph never perturbs the draws of existing columns.
+All randomness flows through seeded, splittable streams built by
+`_seed_sequence`: each column, edge, or latent draws from its own stream
+keyed by stable indices, so enlarging a graph never perturbs the draws of
+existing columns.  Seeds and keys are integers; a float is a TypeError.
 """
 
 from __future__ import annotations
@@ -10,21 +12,24 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admg import MixedGraph, load_json_object
+from .admg import MixedGraph, edge_keys, finite_number, is_acyclic, load_json_object
 from .errors import (
     BindingMismatch,
     DegenerateParameters,
     GraphFormatError,
     InvalidDensity,
+    SingularMatrix,
     UnsupportedOrder,
 )
-from .oracle import DET_TOL, ParamMatrix, path_matrix
+
+DET_TOL = 1e-8
 
 # stream kinds; part of the on-disk reproducibility contract
 _K_GRAPH = 1
@@ -47,8 +52,98 @@ _SCALE_RANGE = (0.2, 3.0)
 _WEIGHT_RANGE = (-5.0, 5.0)
 
 
+def _seed_sequence(seed: int, *key) -> np.random.SeedSequence:
+    """The one seed rule: entropy `seed`, spawn key `key`, each read with `operator.index`, so a float is a TypeError."""
+    return np.random.SeedSequence(operator.index(seed), spawn_key=tuple(map(operator.index, key)))
+
+
 def _stream(seed: int, *key) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key)))
+    return np.random.default_rng(_seed_sequence(seed, *key))
+
+
+def _graph_seed(seed: int, *key) -> int:
+    """A fresh integer seed from the stream (seed, key): the survey's seed of graph (density index, repetition)."""
+    return int(_seed_sequence(seed, *key).generate_state(1)[0])
+
+
+@dataclass(frozen=True)
+class ParamMatrix:
+    """A real coefficient matrix supported on the directed edges of a graph."""
+
+    graph: MixedGraph
+    values: dict
+
+    def __post_init__(self):
+        edge_set = set(self.graph.directed)
+        for edge in self.values:
+            if edge not in edge_set:
+                raise BindingMismatch(f"{edge!r} is not a directed edge of the graph")
+
+    def get(self, u: str, v: str) -> float:
+        return self.values.get((u, v), 0.0)
+
+    def dense(self) -> np.ndarray:
+        p = self.graph.num_vertices
+        lam = np.zeros((p, p))
+        for (u, v), x in self.values.items():
+            lam[self.graph.index(u), self.graph.index(v)] = x
+        return lam
+
+    def to_json(self) -> str:
+        """The coefficients under `edge_keys`; two edges that render one key are a BindingMismatch."""
+        doc = {
+            "vertices": list(self.graph.vertices),
+            "edges": {key: self.values.get(edge, 0.0) for edge, key in edge_keys(self.graph.directed).items()},
+        }
+        return json.dumps(doc, indent=2) + "\n"
+
+    @staticmethod
+    def from_json(graph: MixedGraph, text: str) -> "ParamMatrix":
+        """Inverse of to_json; a malformed document is a GraphFormatError.
+
+        Keys are matched against the graph's own `edge_keys`, so vertex names
+        may contain "->"; a key that names no edge stays a string, which
+        construction rejects as a BindingMismatch.  So is a graph whose edges
+        render one key.
+        """
+        edges = load_json_object(text, "parameter JSON").get("edges", {})
+        if not isinstance(edges, dict):
+            raise GraphFormatError("parameter JSON must be an object whose 'edges' is an object")
+        keys = {key: edge for edge, key in edge_keys(graph.directed).items()}
+        values = {}
+        for key, x in edges.items():
+            if not finite_number(x):
+                raise GraphFormatError(f"parameter {key!r} must be a finite number, got {x!r:.40}")
+            values[keys.get(key, key)] = float(x)
+        return ParamMatrix(graph, values)
+
+
+def path_matrix(lam: ParamMatrix) -> np.ndarray:
+    """B = (I - Lambda)^{-T}; entry (w, u) sums the path monomials u -> w.
+
+    Acyclic bindings have det(I - Lambda) = 1 and a nilpotent Lambda, so the
+    inverse is the finite power sum; that route keeps structural zeros exact,
+    which the rank tolerances downstream rely on.  Cyclic bindings invert
+    numerically and raise SingularMatrix near det(I - Lambda) = 0.
+    """
+    dense = lam.dense()
+    if is_acyclic(lam.graph):
+        return _power_sum(dense)
+    a = np.eye(lam.graph.num_vertices) - dense
+    if abs(np.linalg.det(a)) < DET_TOL:
+        raise SingularMatrix("det(I - Lambda) is numerically zero")
+    return np.linalg.inv(a.T)
+
+
+def _power_sum(dense: np.ndarray) -> np.ndarray:
+    """(I + L + ... + L^(p-1))^T for a nilpotent p x p L, or per matrix of a stack of them."""
+    p = dense.shape[-1]
+    power = np.eye(p)
+    total = power + np.zeros_like(dense)
+    for _ in range(p - 1):
+        power = power @ dense
+        total += power
+    return np.swapaxes(total, -1, -2)
 
 
 @dataclass(frozen=True)

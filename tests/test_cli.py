@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import admgident
 from admgident import MixedGraph, graph_to_json, ident, random_admg, read_dataset, sample_errors, ErrorModel
-from admgident import cli, estimate
+from admgident import cli, estimate, simulate
 from admgident.cli import _parse_densities, main, survey
 from admgident.errors import GraphFormatError
 from admgident.oracle import ParamMatrix
@@ -114,6 +114,13 @@ class TestCheck:
         path = tmp_path / "odd.json"
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 2
+
+    @pytest.mark.parametrize("edges", ['"directed": [["a"]]', '"bidirected": [["a", "b", "a"]]'])
+    def test_edge_of_wrong_arity_exit_2(self, tmp_path, capsys, edges):
+        path = tmp_path / "graph.json"
+        path.write_text(f'{{"vertices": ["a", "b"], {edges}}}')
+        assert main(["check", str(path)]) == 2
+        assert "malformed edge list" in capsys.readouterr().err
 
     def test_non_utf8_graph_exit_2(self, tmp_path):
         path = tmp_path / "utf16.json"
@@ -496,7 +503,7 @@ class TestSurvey:
         assert rows == survey(4, [0.4, 0.7], 6, seed=3)
         assert [row.density for row in rows] == [0.4, 0.7]
         for di, row in enumerate(rows):
-            graphs = [random_admg(4, row.density, cli._graph_seed(3, di, i)) for i in range(6)]
+            graphs = [random_admg(4, row.density, simulate._graph_seed(3, di, i)) for i in range(6)]
             assert row.proportion_identifiable == sum(map(ident.matrix_generically_identifiable, graphs)) / 6
 
     @pytest.mark.parametrize(
@@ -713,6 +720,24 @@ class TestEstimate:
         assert done.returncode == 3
         assert done.stdout == ""
         assert done.stderr == "error: centring the data overflows: values too large for float arithmetic\n"
+
+    def test_column_sum_that_overflows_exit_3_in_process(self, iv_file, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("v1,v2,v3\n9e307,1,2\n9e307,2,1\n1,3,3\n")
+        assert main(["estimate", iv_file, str(data)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: centring the data overflows: values too large for float arithmetic\n"
+
+    @pytest.mark.parametrize("kernel", ["poly2", "rbf"])
+    def test_objective_that_overflows_exit_4_without_warnings(self, iv_file, tmp_path, capsys, kernel):
+        # The suite turns RuntimeWarnings into errors, so a warning from the objective fails here.
+        data = tmp_path / "data.csv"
+        data.write_text("v1,v2,v3\n1e200,1,2\n-1e200,2,1\n1,3,3\n2,1,1\n")
+        assert main(["estimate", iv_file, str(data), "--init", "random", "--kernel", kernel]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: objective became non-finite during optimization\n"
 
     def test_regression_slope_that_overflows_exit_3(self, iv_file, tmp_path, capsys):
         # v2 over v1 rises by about 4e126 / 2e-182: a finite dataset whose least-squares slope is -inf.

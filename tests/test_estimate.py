@@ -552,6 +552,16 @@ class TestFit:
         assert all(abs(v) <= 0.1 for v in res.lam_hat.values.values())
         assert res.lam_hat.get("v1", "v2") == 0.1
 
+    def test_rbf_bandwidths_are_set_at_the_clipped_start(self):
+        # v1->v2 = 50, 80 and 500 all clip to the same standardised bound, so the three
+        # fits start at one point and must resolve one bandwidth there, not one per start.
+        g = iv_graph()
+        data = generate_data(g, sample_parameters(g, 1), sample_errors(g, ErrorModel(), 300, seed=1))
+        fits = [fit(g, data, rbf_kernel(), ParamMatrix(g, {("v1", "v2"): a, ("v2", "v3"): 0.5})) for a in (50, 80, 500)]
+        assert [f.objective_trace[0] for f in fits] == [fits[0].objective_trace[0]] * 3
+        assert [f.iterations for f in fits] == [fits[0].iterations] * 3
+        assert [f.lam_hat.values for f in fits] == [fits[0].lam_hat.values] * 3
+
     @pytest.mark.parametrize("failing_call", [1, 4], ids=["start", "later"])
     def test_non_finite_objective_raises_with_the_last_iterate(self, failing_call, monkeypatch):
         # The columns' scales differ, so standardised and original coordinates differ;

@@ -1,9 +1,12 @@
-"""What the package exposes and what importing it loads."""
+"""What the package exposes, what importing it loads, and how its modules layer."""
 
+import ast
+import graphlib
 import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import admgident
 from admgident import graph_to_json, random_admg
@@ -40,3 +43,37 @@ def test_check_leaves_scipy_optimize_unloaded(tmp_path):
     )
     assert done.returncode == 0
     assert done.stderr == "False\n"
+
+
+def _modules() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in Path(admgident.__file__).parent.glob("*.py")}
+
+
+def _relative_imports(tree) -> list:
+    """(sibling module, whether the import sits inside a function) per relative import in `tree`."""
+    out = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level:
+                out.extend((name, in_function) for name in ([child.module] if child.module else [a.name for a in child.names]))
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(tree, False)
+    return out
+
+
+def test_modules_layer_without_cycles():
+    # admg -> ident -> simulate -> {oracle, estimate} -> cli: the model layer imports no verifier.
+    modules = _modules()
+    imports = {name: _relative_imports(tree) for name, tree in modules.items()}
+    assert [(name, sibling) for name, found in imports.items() for sibling, inside in found if inside] == []
+    # static_order raises graphlib.CycleError on an import cycle
+    list(graphlib.TopologicalSorter({name: {sibling for sibling, _ in found} for name, found in imports.items()}).static_order())
+    assert "oracle" not in {sibling for sibling, _ in imports["simulate"] + imports["estimate"]}
+    seeded = {
+        name for name, tree in modules.items() for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) in ("SeedSequence", "default_rng")
+    }
+    assert seeded == {"simulate"}
+    assert "numpy" not in {alias.name for node in ast.walk(modules["cli"]) if isinstance(node, ast.Import) for alias in node.names}

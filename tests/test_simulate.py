@@ -56,6 +56,23 @@ class TestRandomAdmg:
         assert len(g.directed) <= 10 and len(g.bidirected) <= 10
 
 
+class TestSeeds:
+    def test_float_seeds_are_refused(self):
+        g = iv_graph()
+        with pytest.raises(TypeError):
+            sample_parameters(g, 3.7)
+        with pytest.raises(TypeError):
+            random_admg(4, 0.5, 3.0)
+        with pytest.raises(TypeError):
+            sample_errors(g, ErrorModel(), 5, 3.7)
+
+    def test_numpy_integer_seeds_draw_like_python_ints(self):
+        g = confounded_diamond()
+        assert sample_parameters(g, np.int64(3)) == sample_parameters(g, 3)
+        assert random_admg(6, 0.4, np.int64(3)) == random_admg(6, 0.4, 3)
+        assert np.array_equal(sample_errors(g, ErrorModel(), 20, np.int64(3)).values, sample_errors(g, ErrorModel(), 20, 3).values)
+
+
 class TestSampleParameters:
     def test_diamond_support_and_range(self):
         lam = sample_parameters(confounded_diamond(), seed=1)
