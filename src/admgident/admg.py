@@ -308,13 +308,17 @@ def graph_from_json(text: str) -> MixedGraph:
         raise GraphFormatError(f"malformed edge list: {exc}") from exc
 
 
-def graph_to_json(g: MixedGraph) -> str:
-    doc = {
+def graph_fields(g: MixedGraph) -> dict:
+    """g's graph document fields: its vertices, then its directed and bidirected edges as [u, v] arrays."""
+    return {
         "vertices": list(g.vertices),
         "directed": [list(e) for e in g.directed],
         "bidirected": [list(e) for e in g.bidirected],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def graph_to_json(g: MixedGraph) -> str:
+    return dump_json(graph_fields(g))
 
 
 def finite_number(x) -> bool:
@@ -345,6 +349,11 @@ def _pairs(doc: dict, key: str) -> list:
     if not all(isinstance(e, list) and all(isinstance(x, str) for x in e) for e in edges):
         raise GraphFormatError(f"{key!r} must be an array of [u, v] arrays of strings")
     return [tuple(e) for e in edges]
+
+
+def dump_json(doc) -> str:
+    """The text of every JSON document the package writes: two-space indent, one final newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_json_object(text: str, what: str) -> dict:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -122,11 +121,13 @@ def _load_graph(path: str) -> admg.MixedGraph:
         return admg.graph_from_json(fh.read())
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, doc, human=None) -> None:
+    """Write the command's JSON document to --out, if given, and to stdout, or `human(doc)` there under --human."""
+    text = None if human and args.human else admg.dump_json(doc)  # rendered once, and only if written
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+            fh.write(text or admg.dump_json(doc))
+    sys.stdout.write(text or human(doc))
 
 
 # -- check ---------------------------------------------------------------------
@@ -150,10 +151,10 @@ def cmd_check(args) -> int:
         doc = {"edge": admg.edge_keys([(u, v)])[u, v], "identifiable": ident.is_identifiable_with_knowledge(g, v, (u,), known)}
         if args.known:
             doc["known"] = sorted(set(known))
-        _emit(args, _render(args, doc, lambda d: f"{d['edge']}: {'identifiable' if d['identifiable'] else 'not identifiable'}\n"))
+        _emit(args, doc, lambda d: f"{d['edge']}: {'identifiable' if d['identifiable'] else 'not identifiable'}\n")
         return 0
     report = ident.is_matrix_identifiable(g)
-    _emit(args, _render(args, report.to_dict(), lambda doc: _human_report(doc, g)))
+    _emit(args, report.to_dict(), lambda doc: _human_report(doc, g))
     return 0
 
 
@@ -186,7 +187,7 @@ def _check_cyclic(args, g) -> int:
             doc["verdict"] = "not identifiable (necessary condition fails)"
         else:
             doc["verdict"] = "necessary-only: no certificate"
-    _emit(args, _render(args, doc, _human_cyclic))
+    _emit(args, doc, _human_cyclic)
     return 0
 
 
@@ -195,12 +196,6 @@ def _human_cyclic(doc) -> str:
     for v, ok in doc["necessary_condition"].items():
         lines.append(f"  necessary at {v}: {'pass' if ok else 'FAIL'}")
     return "\n".join(lines) + "\n"
-
-
-def _render(args, doc, human_fn) -> str:
-    if args.human:
-        return human_fn(doc)
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _split_names(g, text: str) -> list:
@@ -240,7 +235,7 @@ def cmd_flow(args) -> int:
         "max_flow": value,
         "witness": [list(path) for path in witness],
     }
-    _emit(args, _render(args, doc, _human_flow))
+    _emit(args, doc, _human_flow)
     return 0
 
 
@@ -265,9 +260,9 @@ def cmd_verify(args) -> int:
         "checks": report["checks"],
         "mismatches": len(report["mismatches"]),
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    _emit(args, summary)
     if report["mismatches"]:
-        sys.stdout.write(json.dumps(report["mismatches"][:10], indent=2) + "\n")
+        _emit(args, report["mismatches"][:10])
         return 1
     return 0
 
@@ -355,13 +350,7 @@ def cmd_simulate(args) -> int:
         with create(args.params_out) as fh:
             fh.write(params)
         simulate.write_dataset(data, args.data_out)
-    sys.stdout.write(
-        json.dumps(
-            {"seed": args.seed, "n": args.n, "dist": args.dist, "params": args.params_out, "data": args.data_out},
-            indent=2,
-        )
-        + "\n"
-    )
+    _emit(args, {"seed": args.seed, "n": args.n, "dist": args.dist, "params": args.params_out, "data": args.data_out})
     return 0
 
 
@@ -396,7 +385,7 @@ def cmd_estimate(args) -> int:
     if true_lam is not None:
         doc["loss"] = estimate.normalized_frobenius_loss(result.lam_hat, true_lam)
         doc["abs_errors"] = {key: abs(result.lam_hat.get(*edge) - true_lam.get(*edge)) for edge, key in keys.items()}
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    _emit(args, doc)
     return 0
 
 

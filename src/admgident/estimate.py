@@ -22,7 +22,7 @@ from .errors import (
     RankDeficientParents,
     ZeroTrueMatrix,
 )
-from .simulate import Dataset, ParamMatrix
+from .simulate import Dataset, ParamMatrix, _require_binding
 
 POLYNOMIAL = "polynomial"
 RBF = "rbf"
@@ -135,8 +135,7 @@ def independent_pairs(g: MixedGraph) -> tuple:
 
 def residuals(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset) -> Dataset:
     """Residual columns X_v - sum over parents u of lam[u, v] * X_u."""
-    if lam_tilde.graph != g:
-        raise BindingMismatch("parameter matrix bound to a different graph")
+    _require_binding(g, lam_tilde)
     if ds.columns != g.vertices:
         raise BindingMismatch("dataset columns must match the graph vertices")
     p = g.num_vertices
@@ -243,10 +242,7 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
     loop, waking a second BLAS thread per product costs more than it saves.
 
     Gram pairs use trace(K H L H) = sum(K * HLH), H being idempotent: one
-    raw and one centred side give the value.  A parentless side's centred
-    Gram comes from the layout; a side with parents builds its raw Gram,
-    and centres it only for a partner that needs a gradient.  An RBF
-    side's gradient forms K * HLH anyway, so its row sums give the value.
+    raw and one centred side give the value, by the rule in `_gram_pair`.
     Gradients are bit for bit those of the pairwise oracle; the value
     differs from it by rounding.
     """
@@ -283,23 +279,18 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
 def _gram_pair(layout, r, gcol, i, j, ki, kj, need_i, need_j) -> float:
     """HSIC of one Gram pair with a side that has parents; adds its side gradients to gcol.
 
-    Its n x n arrays are freed on return, before the next pair builds its own.
+    Each side with parents builds its raw Gram.  A side its partner needs is
+    centred, or held by the layout when it has no parents.  Each side with
+    parents adds its gradient, and the last one gives the value.  The pair's
+    n x n arrays are freed on return, before the next pair builds its own.
     """
     n = r.shape[0]
-    kxm = None if i in layout.fixed else _gram(r[:, i], ki)
-    kym = None if j in layout.fixed else _gram(r[:, j], kj)
-    kc = layout.fixed[i] if kxm is None else _center(kxm) if need_j else None
-    lc = layout.fixed[j] if kym is None else _center(kym) if need_i else None
-    value = None
-    for c, spec, k, other, need in ((i, ki, kxm, lc, need_i), (j, kj, kym, kc, need_j)):
-        if need and spec.kind == RBF:
-            grad, value = _rbf_side_grad(r[:, c], spec, k, other, n)
+    raw = {c: _gram(r[:, c], spec) for c, spec, need in ((i, ki, need_i), (j, kj, need_j)) if need}
+    centred = {c: _center(raw[c]) if c in raw else layout.fixed[c] for c, partner in ((i, j), (j, i)) if partner in raw}
+    for c, spec, partner in ((i, ki, j), (j, kj, i)):
+        if c in raw:
+            grad, value = _gram_side(r[:, c], spec, raw[c], centred[partner], n)
             gcol[c] += grad
-        elif need:
-            gcol[c] += _gram_side_grad(r[:, c], spec, k, other, n)
-    if value is None:  # a polynomial side with parents against a held RBF side
-        k, other = (kxm, lc) if need_i else (kym, kc)
-        value = float(np.sum(k * other)) / n**2
     return value
 
 
@@ -311,24 +302,18 @@ def _hsic_grads_gram(x, y, kx, ky, need_gx, need_gy):
     kc = _center(kxm)
     lc = _center(kym)
     value = float(np.sum(kc * lc)) / n**2
-    gx = gy = None
-    if need_gx:
-        gx = _gram_side_grad(x, kx, kxm, lc, n)
-    if need_gy:
-        gy = _gram_side_grad(y, ky, kym, kc, n)
+    gx = _gram_side(x, kx, kxm, lc, n)[0] if need_gx else None
+    gy = _gram_side(y, ky, kym, kc, n)[0] if need_gy else None
     return value, gx, gy
 
 
-def _gram_side_grad(x, spec, k, other_centered, n):
-    # d/dx_a of sum_ij K_ij (H L H)_ij = 2 sum_j (HLH)_aj dK_aj/dx_a; overwrites an RBF k
+def _gram_side(x, spec, k, other_centered, n):
+    """A side's gradient and the pair value sum(K * HLH) / n^2, from its raw Gram k; overwrites an RBF k."""
+    # d/dx_a of sum_ij K_ij (H L H)_ij = 2 sum_j (HLH)_aj dK_aj/dx_a
     if spec.kind == POLYNOMIAL:
         base = spec.degree * (np.outer(x, x) + spec.offset) ** (spec.degree - 1)
-        return (2.0 / n**2) * ((base * other_centered) @ x)
-    return _rbf_side_grad(x, spec, k, other_centered, n)[0]
-
-
-def _rbf_side_grad(x, spec, k, other_centered, n):
-    # w = K * (HLH) overwrites k; its total is n^2 times the pair's HSIC
+        return (2.0 / n**2) * ((base * other_centered) @ x), float(np.sum(k * other_centered)) / n**2
+    # w = K * (HLH) overwrites k; its row sums give the value
     w = np.multiply(k, other_centered, out=k)
     rows = w.sum(axis=1)
     return (2.0 / (n**2 * _bandwidth_sq(spec))) * (w @ x - rows * x), float(rows.sum()) / n**2
@@ -405,6 +390,7 @@ def fit(
     data whose column variances span orders of magnitude.  Results come
     back in the original coordinates.
     """
+    _require_binding(g, init)
     if ds.columns != g.vertices:
         raise BindingMismatch("dataset columns must match the graph vertices")
     if ds.n < 2:
@@ -506,8 +492,7 @@ def normalized_frobenius_loss(lam_hat: ParamMatrix, lam_true: ParamMatrix) -> fl
     largest |entry| into [0.5, 1), so no square overflows or underflows to
     zero.  Scaling by a power of two is exact, so the ratio does not change.
     """
-    if lam_hat.graph != lam_true.graph:
-        raise BindingMismatch("parameter matrices bound to different graphs")
+    _require_binding(lam_hat.graph, lam_true)
     hat, true = lam_hat.dense(), lam_true.dense()
     largest = max(np.abs(hat).max(initial=0.0), np.abs(true).max(initial=0.0))
     exponent = math.frexp(largest)[1]

@@ -8,7 +8,6 @@ capacities are integers, so integral optima and path decompositions exist.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -16,6 +15,7 @@ from typing import NamedTuple
 from .admg import (
     LatentFactorGraph,
     MixedGraph,
+    dump_json,
     edge_keys,
     is_acyclic,
     latent_projection_bidirected,
@@ -80,11 +80,11 @@ class _Column:
         return _SolvedColumn(self, q, arcs, solver, solver.max_flow(0, 1))
 
     def rank(self, q, memo: dict) -> int:
-        """The max flow for q, memoised under the solver's complete input: the node count, the
-        column's fixed head and tail arcs, then q's sink arcs, which together give its arcs."""
-        key = (self.n, self.head, self.tail, *map(self.sink.get, self.g.parent_subset(self.v, q)))
+        """The max flow for q, memoised under the solver's complete input: the node count and q's arcs."""
+        _, arcs = self.arcs(q)
+        key = (self.n, *arcs)
         if key not in memo:
-            memo[key] = _Dinic(self.n, [*self.head, *key[3:], *self.tail]).max_flow(0, 1)
+            memo[key] = _Dinic(self.n, arcs).max_flow(0, 1)
         return memo[key]
 
     def named(self, arcs) -> FlowNetwork:
@@ -316,7 +316,7 @@ class IdentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return dump_json(self.to_dict())
 
 
 def is_matrix_identifiable(g: MixedGraph) -> IdentReport:

@@ -11,10 +11,10 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .admg import MixedGraph, is_acyclic
-from .errors import BindingMismatch, CyclicGraph, InvalidDrawCount, SizeMismatch, TooLarge
+from .admg import MixedGraph, graph_fields, is_acyclic
+from .errors import CyclicGraph, InvalidDrawCount, SizeMismatch, TooLarge
 from .ident import _Column, v_rank
-from .simulate import ParamMatrix, _power_sum, _stream, path_matrix, random_admg
+from .simulate import ParamMatrix, _power_sum, _require_binding, _stream, path_matrix, random_admg
 
 RANK_TOL = 1e-8
 ENUMERATION_CAP = 10**6
@@ -109,6 +109,7 @@ def gvl_check(g: MixedGraph, lam: ParamMatrix, rows, cols):
     signed sum of path monomials over vertex-disjoint systems from rows onto
     cols.  The two agree on acyclic graphs; the caller asserts closeness.
     """
+    _require_binding(g, lam)
     if g.num_vertices > _MAX_GVL_VERTICES:
         raise TooLarge(f"path enumeration documented up to {_MAX_GVL_VERTICES} vertices")
     rows = g.sort_vertices(rows)
@@ -148,8 +149,7 @@ def a_matrix(g: MixedGraph, lam: ParamMatrix, lam_tilde: ParamMatrix) -> np.ndar
     Entry (v, u) is b_vu - sum over w in pa(v) & de(u) of lt_wv * b_wu; it is
     exactly zero whenever v is not a descendant of u, and one on the diagonal.
     """
-    if lam.graph != g or lam_tilde.graph != g:
-        raise BindingMismatch("parameter matrices must share the graph binding")
+    _require_binding(g, lam, lam_tilde)
     if not is_acyclic(g):
         raise CyclicGraph("mixing-matrix entries require an acyclic binding")
     b = path_matrix(lam)
@@ -190,6 +190,7 @@ def system_matrix(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> np.ndar
     parents pa(v) minus pinned; entry (u, w) sums path monomials u -> w.
     Pinning a vertex outside pa(v) is a NotAParentSubset.
     """
+    _require_binding(g, lam)
     cols = [g.index(w) for w in _free_parents(g, v, pinned)]
     rows = [g.index(u) for u in g.removable(v)]
     return path_matrix(lam)[np.ix_(cols, rows)].T
@@ -366,9 +367,8 @@ def _record(g: MixedGraph, variants: bool, plan, table: dict, ranks: dict, repor
             for q in qs:
                 flow, (enum, modal) = table[v, removable, q], ranks[removable, q]
                 if not flow == enum == modal:
-                    edges = {"directed": [list(e) for e in h.directed], "bidirected": [list(e) for e in h.bidirected]}
                     values = {"flow": flow, "enumeration": enum, "numeric_rank": modal}
-                    report["mismatches"].append({"vertices": list(vs), **edges, "v": v, "q": list(q), **values})
+                    report["mismatches"].append({**graph_fields(h), "v": v, "q": list(q), **values})
 
 
 def _modal_ranks(items) -> list:

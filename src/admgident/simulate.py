@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admg import MixedGraph, edge_keys, finite_number, is_acyclic, load_json_object
+from .admg import MixedGraph, dump_json, edge_keys, finite_number, is_acyclic, load_json_object
 from .errors import (
     BindingMismatch,
     DegenerateParameters,
@@ -95,7 +95,7 @@ class ParamMatrix:
             "vertices": list(self.graph.vertices),
             "edges": {key: self.values.get(edge, 0.0) for edge, key in edge_keys(self.graph.directed).items()},
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return dump_json(doc)
 
     @staticmethod
     def from_json(graph: MixedGraph, text: str) -> "ParamMatrix":
@@ -116,6 +116,12 @@ class ParamMatrix:
                 raise GraphFormatError(f"parameter {key!r} must be a finite number, got {x!r:.40}")
             values[keys.get(key, key)] = float(x)
         return ParamMatrix(graph, values)
+
+
+def _require_binding(g: MixedGraph, *lams: ParamMatrix) -> None:
+    """The one "lam is bound to g" test: a parameter matrix on any other graph is a BindingMismatch."""
+    if any(lam.graph != g for lam in lams):
+        raise BindingMismatch("parameter matrix bound to a different graph")
 
 
 def path_matrix(lam: ParamMatrix) -> np.ndarray:
@@ -330,8 +336,7 @@ def sample_factor_errors(l, n: int, seed: int) -> Dataset:
 
 def generate_data(g: MixedGraph, lam: ParamMatrix, errors: Dataset) -> Dataset:
     """Solve the structural equations: each sample row is B_Lambda * eps."""
-    if lam.graph != g:
-        raise BindingMismatch("parameter matrix bound to a different graph")
+    _require_binding(g, lam)
     if errors.columns != g.vertices:
         raise BindingMismatch("error columns must match the graph vertices")
     b = path_matrix(lam)

@@ -172,8 +172,19 @@ class TestBidirectedComponents:
 
 class TestLatentProjection:
     def test_pure_factor_required(self):
-        with pytest.raises(InvalidFactorGraph):
-            LatentFactorGraph(["a", "b"], ["l"], [("a", "b")])
+        for loadings, weights, needle in (
+            ([("a", "b")], None, "is not a latent node"),
+            ([("l", "m")], None, "'m' is not observed"),
+            ([("l", "a")], {("l", "b"): 1.0}, "weight given for missing loading"),
+        ):
+            with pytest.raises(InvalidFactorGraph, match=needle):
+                LatentFactorGraph(["a", "b"], ["l", "m"], loadings, weights)
+
+    @pytest.mark.parametrize("observed, latents", [(["a", "a"], ["l"]), (["a", "b"], ["b"])])
+    def test_duplicate_name_rejected(self, observed, latents):
+        # observed and latent nodes share one name space
+        with pytest.raises(DuplicateVertex):
+            LatentFactorGraph(observed, latents, [])
 
     def test_single_latent_two_children(self):
         l = LatentFactorGraph(["a", "b"], ["l"], [("l", "a"), ("l", "b")])

@@ -85,6 +85,24 @@ class TestCheck:
         assert main(["check", diamond_file, "--edge", "v2,v4", "--known", "v2,v3"]) == 0
         assert json.loads(capsys.readouterr().out) == repeated
 
+    @pytest.mark.parametrize(
+        "graph, extra",
+        [(confounded_diamond(), []), (confounded_diamond(), ["--edge", "v2,v4", "--known", "v3"]), (two_cycle(), [])],
+        ids=["report", "edge", "cyclic"],
+    )
+    def test_out_holds_the_json_document_under_human(self, graph, extra, tmp_path, capsys):
+        # --human changes stdout only: --out always gets the document that plain `check` prints.
+        path, out = tmp_path / "g.json", tmp_path / "report.json"
+        path.write_text(graph_to_json(graph))
+        assert main(["check", str(path), *extra]) == 0
+        plain = capsys.readouterr().out
+        assert main(["check", str(path), *extra, "--human"]) == 0
+        human = capsys.readouterr().out
+        assert main(["check", str(path), *extra, "--human", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == human != plain
+        assert json.loads(out.read_text()) == json.loads(plain)
+        assert out.read_text() == plain
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 

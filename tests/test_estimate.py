@@ -108,6 +108,15 @@ class TestResiduals:
         shift = moved[:, 2] - base[:, 2]
         assert np.max(np.abs(shift + 0.25 * data.column("v2"))) < 1e-12
 
+    def test_binding_guards(self):
+        g = iv_graph()
+        data = sample_errors(g, ErrorModel(), 10, seed=0)
+        foreign = ParamMatrix(MixedGraph(g.vertices[::-1], g.directed, g.bidirected), {})
+        with pytest.raises(BindingMismatch, match="bound to a different graph"):
+            residuals(g, foreign, data)
+        with pytest.raises(BindingMismatch, match="dataset columns"):
+            residuals(g, ParamMatrix(g, {}), Dataset(("a", "b", "c"), data.values))
+
 
 class TestHsic:
     def test_constant_input_exactly_zero(self):
@@ -130,6 +139,8 @@ class TestHsic:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             hsic_biased(np.ones(3), np.ones(4), polynomial_kernel(), polynomial_kernel())
+        with pytest.raises(LengthMismatch, match="at least 2 samples"):
+            hsic_biased(np.ones(1), np.ones(1), polynomial_kernel(), polynomial_kernel())
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -512,6 +523,11 @@ class TestRegressionInit:
         with pytest.raises(RankDeficientParents):
             regression_init(g, Dataset(g.vertices, values))
 
+    def test_columns_must_match_the_graph(self):
+        g = iv_graph()
+        with pytest.raises(BindingMismatch, match="dataset columns"):
+            regression_init(g, Dataset(g.vertices[::-1], np.ones((5, 3))))
+
 
 class TestFit:
     def test_trace_non_increasing_and_descent(self):
@@ -744,6 +760,22 @@ class TestFit:
         with pytest.raises(BindingMismatch):
             fit(g, Dataset(("a", "b", "c"), np.ones((5, 3))), polynomial_kernel(), ParamMatrix(g, {}))
 
+    @pytest.mark.parametrize(
+        "other",
+        [
+            MixedGraph(["v3", "v2", "v1"], [("v1", "v2"), ("v2", "v3")], [("v2", "v3")]),
+            MixedGraph(["a", "b"], [("a", "b")]),
+        ],
+        ids=["reordered", "unrelated"],
+    )
+    def test_init_bound_to_another_graph(self, other):
+        # residuals, gradient and objective refuse such a start; so does fit
+        g = iv_graph()
+        ds = generate_data(g, sample_parameters(g, 1), sample_errors(g, ErrorModel(), 50, 1))
+        init = ParamMatrix(other, {other.directed[0]: 0.5})
+        with pytest.raises(BindingMismatch, match="bound to a different graph"):
+            fit(g, ds, polynomial_kernel(), init)
+
 
 class TestLoss:
     def test_exact_zero(self):
@@ -776,3 +808,8 @@ class TestLoss:
         g = iv_graph()
         with pytest.raises(ZeroTrueMatrix):
             normalized_frobenius_loss(ParamMatrix(g, {}), ParamMatrix(g, {}))
+
+    def test_matrices_on_different_graphs_rejected(self):
+        lam = sample_parameters(iv_graph(), seed=1)
+        with pytest.raises(BindingMismatch, match="bound to a different graph"):
+            normalized_frobenius_loss(lam, ParamMatrix(confounded_diamond(), {("v1", "v2"): 1.0}))

@@ -28,7 +28,7 @@ from admgident import (
     witness_paths,
 )
 from admgident import ident
-from admgident.errors import CyclicGraph, NotAParentSubset, NotCycleDecomposable
+from admgident.errors import CyclicGraph, InvalidFactorGraph, NotAParentSubset, NotCycleDecomposable
 from admgident.ident import ColumnVerdict, FlowNetwork
 from admgident.oracle import ENUMERATION_CAP, _enum_rank, all_bidirected_sets, all_dags
 from figures import (
@@ -222,8 +222,9 @@ class TestLocalCriterion:
         assert is_identifiable(g, "v3", ["v2"])
 
     def test_cyclic_input_rejected(self):
-        with pytest.raises(CyclicGraph):
-            is_identifiable(two_cycle(), "v1", ["v2"])
+        for call in (lambda g: is_identifiable(g, "v1", ["v2"]), is_matrix_identifiable, matrix_generically_identifiable):
+            with pytest.raises(CyclicGraph):
+                call(two_cycle())
 
 
 def _rank_identity(g, v, q, k, rank) -> bool:
@@ -737,6 +738,10 @@ class TestGenericitySufficient:
     def test_three_big_latents_pass_everywhere(self):
         verdicts = genericity_sufficient(factor_three_big_latents())
         assert verdicts and all(verdicts.values())
+
+    def test_mixed_graph_refused(self):
+        with pytest.raises(InvalidFactorGraph, match="expected a LatentFactorGraph"):
+            genericity_sufficient(confounded_diamond())
 
     def test_one_latent_two_children(self):
         from admgident import LatentFactorGraph

@@ -133,6 +133,38 @@ class TestParentSubset:
             is_identifiable_with_knowledge(self.G, "c", ["a"], ["nowhere"])
 
 
+class TestBinding:
+    """Every function that takes (g, lam) refuses a lam bound to another graph, one that declares
+    g's own vertices in another order included, with BindingMismatch."""
+
+    # Read at g's indices, lam's path matrix would give wrong values, not an error: the two
+    # sides of the gvl identity disagree.
+    EDGES = [("v1", "v2"), ("v1", "v3"), ("v2", "v4"), ("v3", "v4")]
+    G = MixedGraph(["v1", "v2", "v3", "v4"], EDGES, [("v1", "v4")])
+    VALUES = {("v1", "v2"): 2.0, ("v1", "v3"): -1.5, ("v2", "v4"): 3.0, ("v3", "v4"): 2.7}
+    FOREIGN = ParamMatrix(MixedGraph(["v4", "v3", "v2", "v1"], EDGES, [("v1", "v4")]), VALUES)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, lam: gvl_check(g, lam, ["v1"], ["v4"]),
+            lambda g, lam: oracle.system_matrix(g, lam, "v4"),
+            lambda g, lam: fiber_dimension(g, lam, "v4"),
+            lambda g, lam: fiber_q_unique(g, lam, "v4", ["v2"]),
+            lambda g, lam: nongeneric_locus_check(g, lam, "v4"),
+        ],
+        ids=["gvl_check", "system_matrix", "fiber_dimension", "fiber_q_unique", "nongeneric_locus_check"],
+    )
+    def test_every_entry_point_refuses_a_foreign_binding(self, call):
+        with pytest.raises(BindingMismatch, match="bound to a different graph"):
+            call(self.G, self.FOREIGN)
+        call(self.G, ParamMatrix(self.G, self.VALUES))
+
+    def test_gvl_sides_agree_when_bound(self):
+        det, path_sum = gvl_check(self.G, ParamMatrix(self.G, self.VALUES), ["v1"], ["v4"])
+        assert det == pytest.approx(path_sum, abs=1e-12) and path_sum == pytest.approx(2.0 * 3.0 - 1.5 * 2.7)
+
+
 class TestPathMatrix:
     def test_diamond_path_entry(self):
         b = path_matrix(diamond_params())
@@ -242,6 +274,11 @@ class TestGvl:
         with pytest.raises(TooLarge):
             gvl_check(g, ParamMatrix(g, {}), [], [])
 
+    def test_unequal_sizes(self):
+        g = confounded_diamond()
+        with pytest.raises(SizeMismatch):
+            gvl_check(g, ParamMatrix(g, {}), ["v1"], ["v3", "v4"])
+
 
 class TestAMatrix:
     def test_same_parameters_give_identity(self):
@@ -287,6 +324,11 @@ class TestAMatrix:
         with pytest.raises(BindingMismatch):
             a_matrix(confounded_diamond(), diamond_params(), ParamMatrix(iv(), {}))
 
+    def test_cyclic_graph_rejected(self):
+        lam = ParamMatrix(two_cycle(), {("v1", "v2"): 0.5})
+        with pytest.raises(CyclicGraph):
+            a_matrix(two_cycle(), lam, lam)
+
 
 def iv():
     return MixedGraph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3")], [("v2", "v3")])
@@ -329,6 +371,10 @@ class TestFiber:
                             values[d] += 1
         assert values == {0: 683, 1: 155, 2: 106, 3: 53, 4: 15, 5: 2}
         assert digest.hexdigest() == "660a325e8c421b27b459e58685e4dd5fe1f1717de481408b67d7e41ff9aebb5c"
+
+    def test_dimension_rejects_cyclic_graphs(self):
+        with pytest.raises(CyclicGraph):
+            fiber_dimension(two_cycle(), ParamMatrix(two_cycle(), {("v1", "v2"): 0.5}), "v1")
 
     def test_modal_dimension_rejects_cyclic_graphs(self):
         with pytest.raises(CyclicGraph):

@@ -77,3 +77,21 @@ def test_modules_layer_without_cycles():
     }
     assert seeded == {"simulate"}
     assert "numpy" not in {alias.name for node in ast.walk(modules["cli"]) if isinstance(node, ast.Import) for alias in node.names}
+
+
+def _attributes(tree, dotted: str) -> list:
+    """Every attribute node in `tree` that reads as `dotted`, such as "json.dumps"."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and ast.unparse(node) == dotted]
+
+
+def test_json_documents_and_stdout_have_one_writer():
+    # admg.dump_json renders every JSON document the package writes; cli writes stdout only in _emit.
+    modules = _modules()
+    assert {name for name, tree in modules.items() if _attributes(tree, "json.dumps")} == {"admg"}
+    for name in ("cli", "ident"):
+        tree = modules[name]
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "json" not in imported, name
+    emit = next(node for node in modules["cli"].body if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    assert len(_attributes(modules["cli"], "sys.stdout.write")) == len(_attributes(emit, "sys.stdout.write")) == 1

@@ -134,6 +134,26 @@ class TestSampleErrors:
         assert abs(uni.values).max() < lap.values.std() * math.sqrt(3) * 1.1
 
 
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "values, needle",
+        [(np.ones((3, 2)), "shape"), (np.ones(3), "shape"), (np.ones((0, 1)), "at least one"), ([[math.nan]], "finite")],
+    )
+    def test_dataset_guards(self, values, needle):
+        with pytest.raises(BindingMismatch, match=needle):
+            Dataset(("x",), values)
+
+    def test_unknown_error_model_kind(self):
+        with pytest.raises(ValueError, match="unknown error model kind"):
+            ErrorModel(kind="gaussian")
+
+    def test_no_samples_refused(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_errors(iv_graph(), ErrorModel(), 0, seed=0)
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_factor_errors(LatentFactorGraph(["a", "b"], ["l"], [("l", "a"), ("l", "b")]), 0, seed=0)
+
+
 class TestFactorErrors:
     def test_no_latents_independent(self):
         l = LatentFactorGraph(["a", "b"], [], [])
@@ -213,6 +233,10 @@ class TestGenerateData:
         errors = Dataset(("a", "b", "c", "d"), np.ones((2, 4)))
         with pytest.raises(BindingMismatch):
             generate_data(g, sample_parameters(g, 0), errors)
+        # the same edges declared in another vertex order are another graph
+        foreign = ParamMatrix(MixedGraph(g.vertices[::-1], g.directed, g.bidirected), {})
+        with pytest.raises(BindingMismatch, match="bound to a different graph"):
+            generate_data(g, foreign, Dataset(g.vertices, np.ones((2, 4))))
 
 
 class TestCumulants:
@@ -258,6 +282,9 @@ class TestCumulants:
             empirical_cumulant(ds, ("x",))
         with pytest.raises(UnsupportedOrder):
             empirical_cumulant(ds, ("x",) * 5)
+        # an order-k k-statistic needs more than k samples
+        with pytest.raises(UnsupportedOrder, match="more than 3 samples"):
+            empirical_cumulant(Dataset(("x",), np.ones((3, 1))), ("x",) * 3)
 
 
 class TestCsvRoundTrip:
