@@ -2,7 +2,7 @@
 
 Output is machine-parseable JSON on stdout unless --human is given.  Exit
 codes: 0 success, 1 verification mismatch, 2 parse error, 3 invalid graph or
-binding, 4 optimizer divergence.
+binding or an input too large for memory, 4 optimizer divergence.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def main(argv=None) -> int:
         return 4
     except AdmgIdentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

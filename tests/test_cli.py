@@ -563,6 +563,15 @@ class TestSimulate:
              "--data-out", str(tmp_path / "d.csv")]
         ) == 2
 
+    def test_out_of_memory_exit_3(self, iv_file, tmp_path, capsys):
+        # The (10**17, 3) error array exceeds the address space, so numpy refuses it at once.
+        params, data = tmp_path / "p.json", tmp_path / "d.csv"
+        assert main(["simulate", iv_file, "--n", str(10**17), "--params-out", str(params), "--data-out", str(data)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: out of memory: ") and out.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [Path(iv_file)]
+
     @pytest.mark.parametrize("failing", ["params", "data", "sidecar"])
     def test_failed_write_leaves_no_output_file(self, failing, iv_file, tmp_path, capsys):
         # Whichever output cannot be opened, the run exits 2 and removes what it

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import admgident
 from admgident import graph_to_json, random_admg
 
@@ -95,3 +97,57 @@ def test_json_documents_and_stdout_have_one_writer():
         assert "json" not in imported, name
     emit = next(node for node in modules["cli"].body if isinstance(node, ast.FunctionDef) and node.name == "_emit")
     assert len(_attributes(modules["cli"], "sys.stdout.write")) == len(_attributes(emit, "sys.stdout.write")) == 1
+
+
+def _fresh(script: str) -> str:
+    """Stdout of `script` run by a fresh interpreter that finds admgident where this test did."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(admgident.__file__))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_numpy_and_no_submodule():
+    script = "import sys, admgident; print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('admgident.')))"
+    assert _fresh(script) == "[]\n"
+
+
+def test_graph_names_leave_numpy_unloaded():
+    # admg and ident need only the standard library.
+    script = (
+        "import sys, admgident as ai; "
+        "g = ai.MixedGraph(['a', 'b', 'c'], directed=[('a', 'b'), ('b', 'c')], bidirected=[('b', 'c')]); "
+        "print(ai.is_matrix_identifiable(g).all_identifiable, 'numpy' in sys.modules)"
+    )
+    assert _fresh(script) == "True False\n"
+
+
+def test_fit_loads_estimate_but_not_scipy_optimize():
+    script = "import sys, admgident; admgident.fit; print('admgident.estimate' in sys.modules, 'scipy.optimize' in sys.modules)"
+    assert _fresh(script) == "True False\n"
+
+
+def test_public_names_are_their_home_modules_objects():
+    for name in PUBLIC_NAMES:
+        value = getattr(admgident, name)
+        home = sys.modules[value.__module__]
+        assert home is not admgident and home.__name__.startswith("admgident."), name
+        assert getattr(home, name) is value, name
+
+
+def test_unknown_name_is_an_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="^module 'admgident' has no attribute 'no_such'$"):
+        admgident.no_such
+
+
+def test_from_import_of_unknown_name_is_an_import_error():
+    with pytest.raises(ImportError, match="no_such"):
+        exec("from admgident import no_such", {})
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from admgident import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES
+    assert all(namespace[name] is getattr(admgident, name) for name in PUBLIC_NAMES)
