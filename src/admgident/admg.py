@@ -219,10 +219,11 @@ class LatentFactorGraph:
     """A factor graph: latent source nodes loading onto observed vertices.
 
     Loadings run latent -> observed only; anything else raises
-    InvalidFactorGraph.  Optional weights attach one real number per loading.
+    InvalidFactorGraph.  The graph carries no loading weights:
+    `sample_factor_errors` draws them from its seed.
     """
 
-    def __init__(self, observed, latents, loadings, weights=None):
+    def __init__(self, observed, latents, loadings):
         self.observed = tuple(str(v) for v in observed)
         self.latents = tuple(str(l) for l in latents)
         seen = set()
@@ -248,15 +249,6 @@ class LatentFactorGraph:
         self.loadings = tuple(
             sorted(set(loading_list), key=lambda e: (lat_index[e[0]], obs_index[e[1]]))
         )
-
-        if weights is None:
-            self.weights = None
-        else:
-            self.weights = {}
-            for (l, v), w in dict(weights).items():
-                if (str(l), str(v)) not in set(self.loadings):
-                    raise InvalidFactorGraph(f"weight given for missing loading {(l, v)!r}")
-                self.weights[(str(l), str(v))] = float(w)
 
     def children_of(self, latent: str) -> tuple[str, ...]:
         return tuple(v for l, v in self.loadings if l == latent)

@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -343,6 +344,9 @@ def cmd_survey(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise GraphFormatError(f"--n must be at least 1, got {args.n}")
+    outputs = (args.params_out, args.data_out, simulate._meta_path(args.data_out))
+    if len({os.path.realpath(path) for path in outputs}) < 3:
+        raise GraphFormatError("--params-out, --data-out and the data file's .meta.json sidecar must be three different files")
     g = _load_graph(args.graph)
     lam = simulate.sample_parameters(g, args.seed)
     kind = simulate.LAPLACE if args.dist == "laplace" else simulate.UNIFORM

@@ -10,6 +10,7 @@ clamped to |coefficient| <= _BOUND.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,12 @@ RBF = "rbf"
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A scalar kernel: polynomial (x*y + offset)^degree or Gaussian RBF.
+    """A scalar kernel: polynomial (x*y + offset)^degree, degree an integer >= 1, or Gaussian RBF.
 
     An RBF bandwidth of None means "resolve by the median heuristic on the
     data it is first applied to"; fit() resolves bandwidths once, at the
     residuals of its start clipped into the box, and holds them fixed during
-    optimization.
+    optimization.  `gradient` and `fit` take one kernel for every column.
     """
 
     kind: str
@@ -46,8 +47,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in (POLYNOMIAL, RBF):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == POLYNOMIAL and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
+        if self.kind == POLYNOMIAL and (
+            isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral) or self.degree < 1
+        ):
+            raise ValueError(f"polynomial degree must be an integer >= 1, got {self.degree!r}")
         if self.kind == POLYNOMIAL and not 0 <= self.offset < math.inf:
             raise ValueError("polynomial offset must be finite and >= 0")
         if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
@@ -161,7 +164,7 @@ def objective(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset, kernels) -> fl
 
 
 def gradient(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset, kernels) -> ParamMatrix:
-    """Exact partial derivatives of the objective in each free coefficient."""
+    """Exact partial derivatives of the objective in each free coefficient, under one kernel (see `_Layout`)."""
     layout = _Layout(g, _resolved(g, kernels, ds, lam_tilde), ds.values)
     _, grad_vec = _value_and_gradient(layout, lam_tilde.dense())
     return ParamMatrix(g, {edge: float(x) for edge, x in zip(g.directed, grad_vec)})
@@ -176,51 +179,47 @@ def _resolved(g: MixedGraph, kernels, ds: Dataset, lam_tilde: ParamMatrix) -> di
 class _Layout:
     """Index arrays, feature coefficients and fixed Grams of one objective over data x.
 
-    The polynomial kernel (x*y + c)^d has the explicit features
-    sqrt(C(d,k) c^(d-k)) x^k; power 0 is constant and centres to zero, so
-    only powers 1..d are kept.  Features are stacked power-major, one row
-    of n samples each: row k*q + j holds power k+1 of polynomial column j,
-    with a zero coefficient past the column's own degree.  `mask` is 1 on
-    the blocks of independent poly-poly pairs, in both orders; pairs with
-    an RBF side go to `gram_pairs`.  A parentless column's residual is its
-    data column for every coefficient, so a Gram pair of two parentless
-    sides adds the constant `constant`, and `fixed` holds the centred Gram
-    of each parentless side paired with a column that has parents.
+    One kernel serves every column: a per-vertex mapping whose specs differ
+    in kind, or in polynomial degree or offset, is a ValueError; RBF
+    bandwidths may differ per column.  The polynomial kernel (x*y + c)^d
+    has the explicit features sqrt(C(d,k) c^(d-k)) x^k; power 0 is constant
+    and centres to zero, so only powers 1..d are kept.  Features are stacked
+    power-major, one row of n samples each: row k*p + j holds power k+1 of
+    column j, scaled by `coef[k]`.  `mask` is 1 on the blocks of independent
+    pairs, in both orders.  Under RBF (degree 0, no features) every
+    independent pair goes to `gram_pairs`.  A parentless column's residual
+    is its data column for every coefficient, so a Gram pair of two
+    parentless sides adds the constant `constant`, and `fixed` holds the
+    centred Gram of each parentless side paired with a column that has
+    parents.
     """
 
     def __init__(self, g: MixedGraph, kernels: dict, x: np.ndarray):
-        poly = [v for v in g.vertices if kernels[v].kind == POLYNOMIAL]
-        pos = {v: j for j, v in enumerate(poly)}
-        q = len(poly)
-        self.degree = max((kernels[v].degree for v in poly), default=0)
-        self.poly = np.array([g.index(v) for v in poly], dtype=int)
-        self.coef = np.zeros((self.degree, q))
-        for j, v in enumerate(poly):
-            d, c = kernels[v].degree, kernels[v].offset
-            for k in range(1, d + 1):
-                self.coef[k - 1, j] = math.sqrt(math.comb(d, k) * c ** (d - k))
-        pair_mask = np.zeros((q, q))
-        self.gram_pairs = []
-        for u, v in independent_pairs(g):
-            if u in pos and v in pos:
-                pair_mask[pos[u], pos[v]] = pair_mask[pos[v], pos[u]] = 1.0
-            else:
-                self.gram_pairs.append(
-                    (g.index(u), g.index(v), kernels[u], kernels[v], bool(g.parents(u)), bool(g.parents(v)))
-                )
-        self.mask = np.tile(pair_mask, (self.degree, self.degree))
-        self.x = x
+        specs = [kernels[v] for v in g.vertices]
+        shapes = {(s.kind, s.degree, s.offset) if s.kind == POLYNOMIAL else (RBF, 0, 0.0) for s in specs}
+        if len(shapes) > 1:
+            raise ValueError("one kernel per objective: the columns' kernels differ in kind, degree or offset")
+        _, d, offset = shapes.pop() if shapes else (RBF, 0, 0.0)
+        p, has_parents = g.num_vertices, [bool(g.parents(v)) for v in g.vertices]
+        pairs = [(g.index(u), g.index(v)) for u, v in independent_pairs(g)]
+        self.x, self.degree = x, d
+        self.coef = np.array([math.sqrt(math.comb(d, k) * offset ** (d - k)) for k in range(1, d + 1)])
+        pair_mask = np.zeros((p, p))
+        for i, j in pairs:
+            pair_mask[i, j] = pair_mask[j, i] = 1.0
+        self.mask = np.tile(pair_mask, (d, d))
+        # columns whose residual depends on a coefficient, and their features
+        self.grad = np.flatnonzero(has_parents)
+        self.grad_feats = (np.arange(d)[:, None] * p + self.grad).ravel()
+        self.grad_coef = self.coef * np.arange(1, d + 1)
+        self.gram_pairs = [] if d else [(i, j, specs[i], specs[j], has_parents[i], has_parents[j]) for i, j in pairs]
         self.constant = sum(
             hsic_biased(x[:, i], x[:, j], ki, kj) for i, j, ki, kj, need_i, need_j in self.gram_pairs
             if not (need_i or need_j)
         )
         held = {c for i, j, _, _, need_i, need_j in self.gram_pairs for c, need in ((i, need_i), (j, need_j))
                 if need_i != need_j and not need}
-        self.fixed = {c: _center(_gram(x[:, c], kernels[g.vertices[c]])) for c in sorted(held)}
-        # polynomial columns whose residual depends on a coefficient, and their features
-        self.grad = np.array([j for j, v in enumerate(poly) if g.parents(v)], dtype=int)
-        self.grad_feats = (np.arange(self.degree)[:, None] * q + self.grad).ravel()
-        self.grad_coef = self.coef[:, self.grad] * np.arange(1, self.degree + 1)[:, None]
+        self.fixed = {c: _center(_gram(x[:, c], specs[c])) for c in sorted(held)}
         self.edges = (
             np.array([g.index(u) for u, _ in g.directed], dtype=int),
             np.array([g.index(v) for _, v in g.directed], dtype=int),
@@ -234,30 +233,30 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
     -X_u per unit of the (u, v) coefficient, so each edge gradient is the
     inner product of -X_u with the accumulated HSIC gradient of column v.
 
-    For polynomial pairs trace(Kx H Ky H) is the squared Frobenius norm of
-    the centred feature cross-covariance, so one stacked feature matrix F
-    gives every such pair at once: C = F'F, the value is half the masked sum
-    of C*C, and F (mask*C) is every column's feature-space gradient.  The
-    contractions use einsum's own loops rather than BLAS: inside the L-BFGS
-    loop, waking a second BLAS thread per product costs more than it saves.
+    Under the polynomial kernel trace(Kx H Ky H) is the squared Frobenius
+    norm of the centred feature cross-covariance, so one stacked feature
+    matrix F gives every pair at once: C = F'F, the value is half the masked
+    sum of C*C, and F (mask*C) is every column's feature-space gradient.
+    The contractions use einsum's own loops rather than BLAS: inside the
+    L-BFGS loop, waking a second BLAS thread per product costs more than it
+    saves.
 
-    Gram pairs use trace(K H L H) = sum(K * HLH), H being idempotent: one
-    raw and one centred side give the value, by the rule in `_gram_pair`.
-    Gradients are bit for bit those of the pairwise oracle; the value
-    differs from it by rounding.
+    Under RBF, Gram pairs use trace(K H L H) = sum(K * HLH), H being
+    idempotent: one raw and one centred side give the value, by the rule in
+    `_gram_pair`.  Gradients are bit for bit those of the tests' pairwise
+    reference; the value differs from it by rounding.
     """
     x = layout.x
     n, p = x.shape
     r = x @ (np.eye(p) - lam_dense)
     gcol = np.zeros((p, n))  # residual-space gradient of each column, one row per column
     total = 0.0
-    if layout.poly.size:
-        rp = r.T[layout.poly]
-        powers = np.empty((layout.degree,) + rp.shape)
-        powers[0] = rp
+    if layout.degree:
+        powers = np.empty((layout.degree, p, n))
+        powers[0] = r.T
         for k in range(1, layout.degree):
-            np.multiply(powers[k - 1], rp, out=powers[k])
-        f = (powers * layout.coef[:, :, None]).reshape(-1, n)
+            np.multiply(powers[k - 1], r.T, out=powers[k])
+        f = (powers * layout.coef[:, None, None]).reshape(-1, n)
         f -= f.mean(axis=1, keepdims=True)
         c = np.einsum("in,jn->ij", f, f)
         mc = layout.mask * c
@@ -267,7 +266,7 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
         deriv = np.empty_like(gf)
         deriv[0] = 1.0
         deriv[1:] = powers[:-1, layout.grad]
-        gcol[layout.poly[layout.grad]] = (2.0 / n**2) * np.einsum("kjn,kjn,kj->jn", deriv, gf, layout.grad_coef)
+        gcol[layout.grad] = (2.0 / n**2) * np.einsum("kjn,kjn,k->jn", deriv, gf, layout.grad_coef)
     total += layout.constant
     for pair in layout.gram_pairs:
         if pair[4] or pair[5]:  # else both residuals are data columns, in layout.constant
@@ -277,7 +276,7 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
 
 
 def _gram_pair(layout, r, gcol, i, j, ki, kj, need_i, need_j) -> float:
-    """HSIC of one Gram pair with a side that has parents; adds its side gradients to gcol.
+    """HSIC of one RBF pair with a side that has parents; adds its side gradients to gcol.
 
     Each side with parents builds its raw Gram.  A side its partner needs is
     centred, or held by the layout when it has no parents.  Each side with
@@ -294,26 +293,9 @@ def _gram_pair(layout, r, gcol, i, j, ki, kj, need_i, need_j) -> float:
     return value
 
 
-def _hsic_grads_gram(x, y, kx, ky, need_gx, need_gy):
-    """Gram-matrix HSIC with gradients; kernels must be resolved."""
-    n = x.shape[0]
-    kxm = _gram(x, kx)
-    kym = _gram(y, ky)
-    kc = _center(kxm)
-    lc = _center(kym)
-    value = float(np.sum(kc * lc)) / n**2
-    gx = _gram_side(x, kx, kxm, lc, n)[0] if need_gx else None
-    gy = _gram_side(y, ky, kym, kc, n)[0] if need_gy else None
-    return value, gx, gy
-
-
 def _gram_side(x, spec, k, other_centered, n):
-    """A side's gradient and the pair value sum(K * HLH) / n^2, from its raw Gram k; overwrites an RBF k."""
-    # d/dx_a of sum_ij K_ij (H L H)_ij = 2 sum_j (HLH)_aj dK_aj/dx_a
-    if spec.kind == POLYNOMIAL:
-        base = spec.degree * (np.outer(x, x) + spec.offset) ** (spec.degree - 1)
-        return (2.0 / n**2) * ((base * other_centered) @ x), float(np.sum(k * other_centered)) / n**2
-    # w = K * (HLH) overwrites k; its row sums give the value
+    """An RBF side's gradient and the pair value sum(K * HLH) / n^2, from its raw Gram k, which it overwrites."""
+    # d/dx_a of sum_ij K_ij (H L H)_ij = 2 sum_j (HLH)_aj dK_aj/dx_a; w = K * (HLH), its row sums give the value
     w = np.multiply(k, other_centered, out=k)
     rows = w.sum(axis=1)
     return (2.0 / (n**2 * _bandwidth_sq(spec))) * (w @ x - rows * x), float(rows.sum()) / n**2
@@ -382,7 +364,9 @@ def fit(
 ) -> EstimateResult:
     """Minimize the residual-dependence objective from the given start.
 
-    Coefficients are box-constrained to |value| <= _BOUND.  RBF bandwidths
+    `kernels` is one kernel, as for `gradient`: a mixed mapping is a
+    ValueError before any evaluation.  Coefficients are box-constrained to
+    |value| <= _BOUND.  RBF bandwidths
     are resolved once at the residuals of the start, clipped into the box,
     and then held fixed, keeping the objective smooth in the coefficients.
     The search runs on columns scaled to unit variance: independence is scale-invariant, so the

@@ -300,33 +300,22 @@ def sample_errors(g: MixedGraph, model: ErrorModel, n: int, seed: int) -> Datase
 def sample_factor_errors(l, n: int, seed: int) -> Dataset:
     """eps = H^T eta_latent + eta_observed with independent Laplace eta.
 
-    Loading weights come from the factor graph when present, otherwise they
-    are drawn uniform on [-5, 5], one stream per loading.
+    Each loading's weight is drawn uniform on [-5, 5] from its own stream.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     obs_index = {v: i for i, v in enumerate(l.observed)}
-    lat_index = {x: i for i, x in enumerate(l.latents)}
-
-    weights = {}
-    for lat, v in l.loadings:
-        if l.weights is not None:
-            weights[(lat, v)] = l.weights[(lat, v)]
-        else:
-            rng = _stream(seed, _K_FACTOR_WEIGHT, lat_index[lat], obs_index[v])
-            weights[(lat, v)] = float(rng.uniform(*_WEIGHT_RANGE))
-
     eps = np.zeros((n, len(l.observed)))
     for v in l.observed:
         iv = obs_index[v]
         sd = float(_stream(seed, _K_FACTOR_SCALE, 0, iv).uniform(*_SCALE_RANGE))
         eps[:, iv] = _laplace_draw(_stream(seed, _K_FACTOR_NOISE, 0, iv), sd, n)
-    for lat in l.latents:
-        il = lat_index[lat]
+    for il, lat in enumerate(l.latents):
         sd = float(_stream(seed, _K_FACTOR_SCALE, 1, il).uniform(*_SCALE_RANGE))
         eta = _laplace_draw(_stream(seed, _K_FACTOR_NOISE, 1, il), sd, n)
         for v in l.children_of(lat):
-            eps[:, obs_index[v]] += weights[(lat, v)] * eta
+            weight = float(_stream(seed, _K_FACTOR_WEIGHT, il, obs_index[v]).uniform(*_WEIGHT_RANGE))
+            eps[:, obs_index[v]] += weight * eta
     return Dataset(
         columns=l.observed,
         values=eps,

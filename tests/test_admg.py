@@ -172,13 +172,12 @@ class TestBidirectedComponents:
 
 class TestLatentProjection:
     def test_pure_factor_required(self):
-        for loadings, weights, needle in (
-            ([("a", "b")], None, "is not a latent node"),
-            ([("l", "m")], None, "'m' is not observed"),
-            ([("l", "a")], {("l", "b"): 1.0}, "weight given for missing loading"),
+        for loadings, needle in (
+            ([("a", "b")], "is not a latent node"),
+            ([("l", "m")], "'m' is not observed"),
         ):
             with pytest.raises(InvalidFactorGraph, match=needle):
-                LatentFactorGraph(["a", "b"], ["l", "m"], loadings, weights)
+                LatentFactorGraph(["a", "b"], ["l", "m"], loadings)
 
     @pytest.mark.parametrize("observed, latents", [(["a", "a"], ["l"]), (["a", "b"], ["b"])])
     def test_duplicate_name_rejected(self, observed, latents):

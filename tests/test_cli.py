@@ -588,6 +588,17 @@ class TestSimulate:
         assert not params.exists() and not data.exists()
         assert sidecar.is_dir() if failing == "sidecar" else not sidecar.exists()
 
+    @pytest.mark.parametrize("clash", ["data", "sidecar", "symlinked-data"])
+    def test_output_paths_that_collide_exit_2_before_writing(self, clash, iv_file, tmp_path, capsys):
+        # The parameter file used to be overwritten by the CSV or by its sidecar, with exit 0.
+        data = tmp_path / "d.csv"
+        params = {"data": data, "sidecar": tmp_path / "d.csv.meta.json", "symlinked-data": tmp_path / "link" / "d.csv"}[clash]
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        assert main(["simulate", iv_file, "--n", "3", "--params-out", str(params), "--data-out", str(data)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and "--params-out" in out.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["iv.json", "link"]
+
     def test_seed_reproducibility_byte_for_byte(self, iv_file, tmp_path):
         paths = []
         for tag in ("a", "b"):

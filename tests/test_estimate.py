@@ -41,7 +41,7 @@ from admgident.estimate import (
     _Layout,
     _center,
     _gram,
-    _hsic_grads_gram,
+    _gram_side,
     _value_and_gradient,
 )
 from admgident import estimate
@@ -56,6 +56,25 @@ def hsic_trace_reference(x, y, kx, ky):
     l = np.array([[kernel_value(ky, a, b) for b in y] for a in y])
     h = np.eye(n) - np.ones((n, n)) / n
     return float(np.trace(k @ h @ l @ h)) / n**2
+
+
+def hsic_grads_gram(x, y, kx, ky, need_gx, need_gy):
+    """The pairwise reference: one pair's HSIC and its sides' gradients; kernels must be resolved.
+
+    The value is `hsic_biased`'s.  An RBF side's gradient comes from `_gram_side`, so the
+    evaluation's RBF gradients are held to it bit for bit; a polynomial side's from the closed
+    form d/dx_a sum_ij K_ij (HLH)_ij = 2 sum_j (HLH)_aj d (x_a x_j + c)^(d-1) x_j.
+    """
+    n = len(x)
+
+    def side(x, spec, y, other):
+        lc = _center(_gram(y, other))
+        if spec.kind == "polynomial":
+            base = spec.degree * (np.outer(x, x) + spec.offset) ** (spec.degree - 1)
+            return (2.0 / n**2) * ((base * lc) @ x)
+        return _gram_side(x, spec, _gram(x, spec), lc, n)[0]
+
+    return hsic_biased(x, y, kx, ky), side(x, kx, y, ky) if need_gx else None, side(y, ky, x, kx) if need_gy else None
 
 
 def kernel_value(spec, a, b):
@@ -75,11 +94,24 @@ def kernel_value(spec, a, b):
         {"kind": "rbf", "bandwidth": 0.0},
         {"kind": "rbf", "bandwidth": math.nan},
         {"kind": "rbf", "bandwidth": math.inf},
+        {"kind": "polynomial", "degree": 2.5},
+        {"kind": "polynomial", "degree": 2.0},
+        {"kind": "polynomial", "degree": True},
+        {"kind": "polynomial", "degree": np.float64(2.0)},
     ],
 )
 def test_kernel_spec_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         estimate.KernelSpec(**kwargs)
+
+
+def test_numpy_integer_degree_is_the_int_degree():
+    # Degrees are checked by type: numpy integers pass, bools and floats do not.
+    g = iv_graph()
+    data = generate_data(g, sample_parameters(g, 0), sample_errors(g, ErrorModel(), 50, seed=0))
+    point = ParamMatrix(g, {("v1", "v2"): 0.5, ("v2", "v3"): -0.3})
+    grads = [gradient(g, point, data, polynomial_kernel(degree, 1.0)).values for degree in (np.int64(3), 3)]
+    assert grads[0] == grads[1]
 
 
 class TestResiduals:
@@ -168,7 +200,7 @@ class TestHsic:
         data = np.column_stack([x, y, np.eye(80)])
         for deg, off in ((1, 1.0), (2, 1.0), (2, 0.0), (3, 2.0)):
             kx = ky = polynomial_kernel(deg, off)
-            vg, gxg, gyg = _hsic_grads_gram(x, y, kx, ky, True, True)
+            vg, gxg, gyg = hsic_grads_gram(x, y, kx, ky, True, True)
             vp, grad = _value_and_gradient(_Layout(g, {v: kx for v in g.vertices}, data), np.zeros((82, 82)))
             by_edge = dict(zip(g.directed, grad))
             gxp = -np.array([by_edge[(u, "a")] for u in parents])
@@ -237,7 +269,7 @@ class TestHsic:
         spec, limit = rbf_kernel(sigma), rbf_kernel(1e154)
         assert _gram(x, spec).tobytes() == _gram(x, limit).tobytes() == np.ones((40, 40)).tobytes()
         assert hsic_biased(x, y, spec, spec) == hsic_biased(x, y, limit, limit) == 0.0
-        value, gx, gy = _hsic_grads_gram(x, y, spec, spec, True, True)
+        value, gx, gy = hsic_grads_gram(x, y, spec, spec, True, True)
         assert value == 0.0 and not gx.any() and not gy.any()
 
 
@@ -331,6 +363,26 @@ class TestGradient:
         grad = gradient(g, ParamMatrix(g, {("a", "c"): 0.5}), data, polynomial_kernel())
         assert grad.get("a", "c") == 0.0
 
+    @pytest.mark.parametrize(
+        "second", [rbf_kernel(1.0), polynomial_kernel(3, 1.0), polynomial_kernel(2, 0.5)], ids=["rbf", "degree", "offset"]
+    )
+    def test_mixed_kernel_mapping_refused_before_evaluation(self, second, monkeypatch):
+        # gradient and fit evaluate one kernel over every column; the pairwise oracles take any mapping.
+        g = iv_graph()
+        data = generate_data(g, sample_parameters(g, 3), sample_errors(g, ErrorModel(), 80, seed=3))
+        point = ParamMatrix(g, {("v1", "v2"): 0.5, ("v2", "v3"): -0.3})
+        kernels = {"v1": polynomial_kernel(2, 1.0), "v2": second, "v3": polynomial_kernel(2, 1.0)}
+        evaluations = []
+        monkeypatch.setattr(estimate, "_value_and_gradient", lambda *args: evaluations.append(args))
+        with pytest.raises(ValueError, match="one kernel per objective"):
+            gradient(g, point, data, kernels)
+        with pytest.raises(ValueError, match="one kernel per objective"):
+            fit(g, data, kernels, regression_init(g, data))
+        assert evaluations == []
+        r = residuals(g, point, data)
+        expected = sum(hsic_biased(r.column(u), r.column(v), kernels[u], kernels[v]) for u, v in (("v1", "v2"), ("v1", "v3")))
+        assert objective(g, point, data, kernels) == expected
+
     KERNELS = [polynomial_kernel(d, c) for d in (1, 2, 3) for c in (0.0, 0.5, 1.0, 2.0)] + [rbf_kernel()]
 
     @pytest.mark.parametrize("seed", range(24))
@@ -341,14 +393,12 @@ class TestGradient:
         point = ParamMatrix(g, {e: float(rng.normal()) for e in g.directed})
         x, lam = data.values, point.dense()
         r = residuals(g, point, data).values
-        kernels = {
-            v: resolve_kernel(self.KERNELS[rng.integers(len(self.KERNELS))], r[:, g.index(v)])
-            for v in g.vertices
-        }
+        kernel = self.KERNELS[rng.integers(len(self.KERNELS))]
+        kernels = {v: resolve_kernel(kernel, r[:, g.index(v)]) for v in g.vertices}
         value, gcol = 0.0, np.zeros_like(r)
         for u, v in estimate.independent_pairs(g):
             i, j = g.index(u), g.index(v)
-            pair_value, gi, gj = _hsic_grads_gram(r[:, i], r[:, j], kernels[u], kernels[v], True, True)
+            pair_value, gi, gj = hsic_grads_gram(r[:, i], r[:, j], kernels[u], kernels[v], True, True)
             value += pair_value
             gcol[:, i] += gi
             gcol[:, j] += gj
@@ -370,7 +420,7 @@ class TestGradient:
         value, gcol = 0.0, np.zeros(r.T.shape)
         for u, v in estimate.independent_pairs(g):
             i, j = g.index(u), g.index(v)
-            pair_value, gi, gj = _hsic_grads_gram(
+            pair_value, gi, gj = hsic_grads_gram(
                 r[:, i], r[:, j], kernels[u], kernels[v], bool(g.parents(u)), bool(g.parents(v))
             )
             value += pair_value

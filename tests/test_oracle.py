@@ -2,7 +2,7 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -837,6 +837,36 @@ class TestVerifySweep:
             if started:
                 tracemalloc.stop()
         assert peak <= 3 * 10**6
+
+    def test_every_five_vertex_dag_class_agrees(self):
+        # Flow, enumeration and modal ranks are invariant under relabelling, and every DAG is
+        # isomorphic to one whose edges run from lower to higher index: so the least relabelling
+        # of each of those 1,024 DAGs, with its bidirected variants, covers every acyclic mixed
+        # graph on 5 vertices.  Every key must agree before `_check`, which would otherwise
+        # write a record per failing check of every variant.
+        vs = [f"v{i + 1}" for i in range(5)]
+        perms = list(permutations(range(5)))
+        classes = sorted({
+            min(tuple(sorted((pi[a], pi[b]) for a, b in dag)) for pi in perms)
+            for dag in oracle._subsets(list(combinations(range(5), 2)))
+        })
+        assert len(classes) == 302
+        items = []
+        for idx, dag in enumerate(classes):
+            g = MixedGraph(vs, [(vs[a], vs[b]) for a, b in dag])
+            items.append((g, True, oracle.draw_b_stack(g, oracle._stream(0, 5, idx), 5)))
+        flows = {}
+        tables = [oracle._key_table(g, True, flows)[1:] for g, _, _ in items]
+        modals = oracle._modal_ranks([(g, b_stack, list(enums)) for (g, _, b_stack), (_, enums) in zip(items, tables)])
+        keys, disagreeing = 0, []
+        for (table, enums), modal in zip(tables, modals):
+            ranks = dict(zip(enums, zip(enums.values(), modal)))
+            keys += len(table)
+            disagreeing += [(key, flow, ranks[key[1:]]) for key, flow in table.items() if (flow, flow) != ranks[key[1:]]]
+        assert (keys, len(disagreeing), disagreeing[:3]) == (35584, 0, [])
+        report = {"graphs": 0, "checks": 0, "mismatches": []}
+        oracle._check(items, flows, report)
+        assert (report["graphs"], report["checks"], report["mismatches"]) == (309248, 4689920, [])
 
     def test_broken_engine_four_vertex_report_matches_stored_digest(self, monkeypatch):
         # Chunks of DAGs cross vertex counts and the record writer; the report

@@ -81,6 +81,24 @@ def test_modules_layer_without_cycles():
     assert "numpy" not in {alias.name for node in ast.walk(modules["cli"]) if isinstance(node, ast.Import) for alias in node.names}
 
 
+def test_private_definitions_are_used_in_src():
+    # A private top-level function or class that no src/ code outside its own definition
+    # references is test-only code, and belongs in the tests.
+    modules = _modules()
+    unused = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            outside = [other for other in modules.values() if other is not tree] + [n for n in tree.body if n is not node]
+            names = {getattr(n, "id", getattr(n, "attr", None)) for part in outside for n in ast.walk(part)}
+            if node.name not in names:
+                unused.append(f"{name}.{node.name}")
+    assert unused == []
+
+
 def _attributes(tree, dotted: str) -> list:
     """Every attribute node in `tree` that reads as `dotted`, such as "json.dumps"."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and ast.unparse(node) == dotted]

@@ -25,6 +25,7 @@ from admgident.errors import (
     SingularMatrix,
     UnsupportedOrder,
 )
+from admgident import simulate
 from admgident.simulate import LAPLACE, UNIFORM, _laplace_draw
 from figures import confounded_diamond, iv_graph, two_cycle
 
@@ -160,13 +161,10 @@ class TestFactorErrors:
         ds = sample_factor_errors(l, 50_000, seed=1)
         assert abs(np.corrcoef(ds.values.T)[0, 1]) < 0.02
 
-    def test_single_latent_constant_covariance(self):
-        l = LatentFactorGraph(
-            ["a", "b", "c"],
-            ["l"],
-            [("l", "a"), ("l", "b"), ("l", "c")],
-            {("l", "a"): 1.0, ("l", "b"): 1.0, ("l", "c"): 1.0},
-        )
+    def test_single_latent_constant_covariance(self, monkeypatch):
+        # Every loading weight drawn as 1.0: equal loadings give equal covariances.
+        monkeypatch.setattr(simulate, "_WEIGHT_RANGE", (1.0, 1.0))
+        l = LatentFactorGraph(["a", "b", "c"], ["l"], [("l", "a"), ("l", "b"), ("l", "c")])
         n = 400_000
         ds = sample_factor_errors(l, n, seed=4)
         cov = np.cov(ds.values.T)
