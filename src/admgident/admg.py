@@ -11,6 +11,7 @@ import sys
 
 from .errors import (
     BindingMismatch,
+    CyclicGraph,
     DuplicateVertex,
     GraphFormatError,
     InvalidFactorGraph,
@@ -187,6 +188,12 @@ class MixedGraph:
 def is_acyclic(g: MixedGraph) -> bool:
     """True iff the directed part has no non-trivial directed cycle: no edge u -> v with v in an(u)."""
     return not any(g._an_mask(i) & ch for i, ch in enumerate(g._ch))
+
+
+def _require_acyclic(g: MixedGraph, what: str) -> None:
+    """The one "g is a DAG" test: a directed cycle is a CyclicGraph naming the entry point `what`."""
+    if not is_acyclic(g):
+        raise CyclicGraph(f"{what} is defined for acyclic graphs; the graph has a directed cycle")
 
 
 def edge_keys(edges) -> dict:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import admg, estimate, ident, oracle, simulate
 from .errors import (
     AdmgIdentError,
-    BindingMismatch,
     CyclicGraph,
     GraphFormatError,
     NonFiniteObjective,
@@ -368,8 +367,7 @@ def cmd_estimate(args) -> int:
     g = _load_graph(args.graph)
     keys = admg.edge_keys(g.directed)  # a key clash is refused before any fit
     ds = simulate.read_dataset(args.data)
-    if tuple(ds.columns) != g.vertices:
-        raise BindingMismatch("data columns do not match the graph vertices")
+    simulate._require_columns(g, ds)
     kernels = (
         estimate.polynomial_kernel(2, 1.0) if args.kernel == "poly2" else estimate.rbf_kernel()
     )
@@ -384,7 +382,7 @@ def cmd_estimate(args) -> int:
             raise GraphFormatError("--init tv requires --true-params")
         init, kind = true_lam, "true-value"
     else:
-        rng = simulate._stream(args.seed, 99)
+        rng = simulate._stream(args.seed, simulate._K_RANDOM_INIT)
         init = simulate.ParamMatrix(g, {e: float(rng.uniform(-1, 1)) for e in g.directed})
         kind = "random"
     result = estimate.fit(g, ds, kernels, init, init_kind=kind)

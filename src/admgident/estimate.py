@@ -23,7 +23,7 @@ from .errors import (
     RankDeficientParents,
     ZeroTrueMatrix,
 )
-from .simulate import Dataset, ParamMatrix, _require_binding
+from .simulate import Dataset, ParamMatrix, _require_binding, _require_columns
 
 POLYNOMIAL = "polynomial"
 RBF = "rbf"
@@ -139,8 +139,7 @@ def independent_pairs(g: MixedGraph) -> tuple:
 def residuals(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset) -> Dataset:
     """Residual columns X_v - sum over parents u of lam[u, v] * X_u."""
     _require_binding(g, lam_tilde)
-    if ds.columns != g.vertices:
-        raise BindingMismatch("dataset columns must match the graph vertices")
+    _require_columns(g, ds)
     p = g.num_vertices
     r = ds.values @ (np.eye(p) - lam_tilde.dense())
     return Dataset(columns=g.vertices, values=r, provenance={"generator": "residuals"})
@@ -303,8 +302,7 @@ def _gram_side(x, spec, k, other_centered, n):
 
 def regression_init(g: MixedGraph, ds: Dataset) -> ParamMatrix:
     """Per-vertex least squares of X_v on its parent columns, centered."""
-    if ds.columns != g.vertices:
-        raise BindingMismatch("dataset columns must match the graph vertices")
+    _require_columns(g, ds)
     with np.errstate(over="ignore"):  # the finite check reports an overflow
         x = ds.values - ds.values.mean(axis=0)
     if not np.all(np.isfinite(x)):
@@ -375,8 +373,7 @@ def fit(
     back in the original coordinates.
     """
     _require_binding(g, init)
-    if ds.columns != g.vertices:
-        raise BindingMismatch("dataset columns must match the graph vertices")
+    _require_columns(g, ds)
     if ds.n < 2:
         raise LengthMismatch(f"need at least 2 samples, got {ds.n}")
     edges = g.directed

@@ -15,12 +15,12 @@ from typing import NamedTuple
 from .admg import (
     LatentFactorGraph,
     MixedGraph,
+    _require_acyclic,
     dump_json,
     edge_keys,
-    is_acyclic,
     latent_projection_bidirected,
 )
-from .errors import CyclicGraph, InvalidFactorGraph, NotCycleDecomposable
+from .errors import InvalidFactorGraph, NotCycleDecomposable
 
 def removable_ancestors(g: MixedGraph, v: str) -> frozenset:
     """Ancestors u of v (u != v) whose closed sibling set {u} | sib(u) is not contained in {v} | sib(v).
@@ -275,8 +275,7 @@ def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
     rank drops by one per deleted element exactly when every element deleted
     is a coloop of the gammoid on pa \\ k, so one solve of pa \\ k decides it.
     """
-    if not is_acyclic(g):
-        raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
+    _require_acyclic(g, "is_identifiable_with_knowledge")
     q, k = g.parent_subset(v, q), g.parent_subset(v, k)
     solved = _Column(g, v, g.removable(v)).solve([u for u in g.parents(v) if u not in k])
     return all(solved.coloop(u) for u in q if u not in k)
@@ -332,8 +331,7 @@ def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
     `_SolvedColumn.coloop` reads from the same residual graph without a
     second solve.
     """
-    if not is_acyclic(g):
-        raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
+    _require_acyclic(g, "is_matrix_identifiable")
     columns = {}
     verdicts = {}
     for i, v in enumerate(g.vertices):
@@ -372,8 +370,7 @@ def _column_full_rank(g: MixedGraph, i: int) -> bool:
 
 def matrix_generically_identifiable(g: MixedGraph) -> bool:
     """Column check only, short-circuiting on the first failure."""
-    if not is_acyclic(g):
-        raise CyclicGraph("use cyclic_necessary_condition for cyclic graphs")
+    _require_acyclic(g, "matrix_generically_identifiable")
     return all(_column_full_rank(g, i) for i in range(g.num_vertices))
 
 

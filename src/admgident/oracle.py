@@ -11,8 +11,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .admg import MixedGraph, graph_fields, is_acyclic
-from .errors import CyclicGraph, InvalidDrawCount, SizeMismatch, TooLarge
+from .admg import MixedGraph, _require_acyclic, graph_fields
+from .errors import InvalidDrawCount, SizeMismatch, TooLarge
 from .ident import _Column, v_rank
 from .simulate import ParamMatrix, _power_sum, _require_binding, _stream, path_matrix, random_admg
 
@@ -74,28 +74,28 @@ def _iter_path_systems(g: MixedGraph, sources, targets, cap: int = ENUMERATION_C
     yield from systems(0, frozenset())
 
 
-def path_system_exists(g: MixedGraph, sources, targets, cap: int = ENUMERATION_CAP) -> bool:
-    return next(_iter_path_systems(g, sources, targets, cap), None) is not None
+def path_system_exists(g: MixedGraph, sources, targets) -> bool:
+    return next(_iter_path_systems(g, sources, targets), None) is not None
 
 
-def brute_force_v_rank(g: MixedGraph, v: str, q, cap: int = ENUMERATION_CAP) -> int:
+def brute_force_v_rank(g: MixedGraph, v: str, q) -> int:
     """Max size of a vertex-disjoint path system from removable ancestors into q.
 
     Exhaustive over subset pairs, largest size first; independent of the flow
     engine, with a search memo of its own.  A q outside pa(v) is a
     NotAParentSubset.
     """
-    return _enum_rank(g, g.removable(v), g.parent_subset(v, q), cap, {})
+    return _enum_rank(g, g.removable(v), g.parent_subset(v, q), {})
 
 
-def _enum_rank(g: MixedGraph, removable, q, cap: int, memo: dict) -> int:
+def _enum_rank(g: MixedGraph, removable, q, memo: dict) -> int:
     """`brute_force_v_rank` from (removable, q); `memo` keeps each (sources, targets) search's
     answer, so share it only among calls on one directed part."""
     for k in range(min(len(removable), len(q)), 0, -1):
         for sources in combinations(removable, k):
             for targets in combinations(q, k):
                 if (sources, targets) not in memo:
-                    memo[sources, targets] = path_system_exists(g, sources, targets, cap)
+                    memo[sources, targets] = path_system_exists(g, sources, targets)
                 if memo[sources, targets]:
                     return k
     return 0
@@ -107,7 +107,7 @@ def gvl_check(g: MixedGraph, lam: ParamMatrix, rows, cols):
     Returns (det, signed path sum): the determinant of the path-matrix block
     whose (i, j) entry sums the path monomials rows[i] -> cols[j], and the
     signed sum of path monomials over vertex-disjoint systems from rows onto
-    cols.  The two agree on acyclic graphs; the caller asserts closeness.
+    cols.  The two agree, and a cyclic g is a CyclicGraph; the caller asserts closeness.
     """
     _require_binding(g, lam)
     if g.num_vertices > _MAX_GVL_VERTICES:
@@ -116,6 +116,7 @@ def gvl_check(g: MixedGraph, lam: ParamMatrix, rows, cols):
     cols = g.sort_vertices(cols)
     if len(rows) != len(cols):
         raise SizeMismatch("row and column sets must have equal cardinality")
+    _require_acyclic(g, "gvl_check")
     b = path_matrix(lam)
     row_idx = [g.index(u) for u in rows]
     col_idx = [g.index(u) for u in cols]
@@ -150,8 +151,7 @@ def a_matrix(g: MixedGraph, lam: ParamMatrix, lam_tilde: ParamMatrix) -> np.ndar
     exactly zero whenever v is not a descendant of u, and one on the diagonal.
     """
     _require_binding(g, lam, lam_tilde)
-    if not is_acyclic(g):
-        raise CyclicGraph("mixing-matrix entries require an acyclic binding")
+    _require_acyclic(g, "a_matrix")
     b = path_matrix(lam)
     p = g.num_vertices
     out = np.zeros((p, p))
@@ -188,11 +188,12 @@ def system_matrix(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> np.ndar
 
     Rows are indexed by the removable ancestors of v, columns by the free
     parents pa(v) minus pinned; entry (u, w) sums path monomials u -> w.
-    Pinning a vertex outside pa(v) is a NotAParentSubset.
+    Pinning a vertex outside pa(v) is a NotAParentSubset, and a cyclic g a CyclicGraph.
     """
     _require_binding(g, lam)
     cols = [g.index(w) for w in _free_parents(g, v, pinned)]
     rows = [g.index(u) for u in g.removable(v)]
+    _require_acyclic(g, "system_matrix")
     return path_matrix(lam)[np.ix_(cols, rows)].T
 
 
@@ -202,8 +203,6 @@ def fiber_dimension(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> int:
     Zero means the free coefficients into v are uniquely recoverable at this
     parameter point.  Pinning a vertex outside pa(v) is a NotAParentSubset.
     """
-    if not is_acyclic(g):
-        raise CyclicGraph("fiber dimension is defined for acyclic bindings")
     system = system_matrix(g, lam, v, pinned)
     return system.shape[1] - int(_rank(np.linalg.svd(system, compute_uv=False)))
 
@@ -214,8 +213,6 @@ def fiber_dimension_modal(g: MixedGraph, v: str, pinned=(), seed: int = 0, draws
     Guards against a single draw landing near the non-generic locus.
     Pinning a vertex outside pa(v) is a NotAParentSubset.
     """
-    if not is_acyclic(g):
-        raise CyclicGraph("fiber dimension is defined for acyclic bindings")
     free = _free_parents(g, v, pinned)
     rng = _stream(seed)
     return len(free) - _modal_ranks([(g, draw_b_stack(g, rng, draws), [(g.removable(v), free)])])[0][0]
@@ -226,7 +223,7 @@ def fiber_q_unique(g: MixedGraph, lam: ParamMatrix, v: str, q, k=()) -> bool:
 
     Solves the column-v system with the k-coordinates fixed and inspects the
     null space: unique q-coordinates iff every null direction vanishes on q.
-    A q or k with a vertex outside pa(v) is a NotAParentSubset.
+    A q or k with a vertex outside pa(v) is a NotAParentSubset, and a cyclic g a CyclicGraph.
     """
     q = g.parent_subset(v, q)
     free = _free_parents(g, v, k)
@@ -240,7 +237,7 @@ def nongeneric_locus_check(g: MixedGraph, lam: ParamMatrix, v: str) -> bool:
     """True iff the column-v system rank at lam falls below the generic rank.
 
     The generic rank is the flow-computed v-rank of pa(v); a strict drop at
-    the supplied parameter point marks it as non-generic for column v.
+    the supplied parameter point marks it as non-generic for column v; a cyclic g is a CyclicGraph.
     """
     rank_here = int(_rank(np.linalg.svd(system_matrix(g, lam, v), compute_uv=False)))
     return rank_here < v_rank(g, v, g.parents(v))
@@ -296,8 +293,6 @@ def cross_check_graph(g: MixedGraph, seed: int = 0, draws: int = 5):
     enumeration and the path matrix count paths through v, which the flow
     network excludes.
     """
-    if not is_acyclic(g):
-        raise CyclicGraph("the triple-oracle check is defined for acyclic graphs")
     rng = _stream(seed)
     report = {"graphs": 0, "checks": 0, "mismatches": []}
     _check([(g, False, draw_b_stack(g, rng, draws))], {}, report)
@@ -342,7 +337,7 @@ def _key_table(g: MixedGraph, variants: bool, flows: dict):
             for q in qs:
                 table[v, removable, q] = col.rank(q, flows)
     searches = {}
-    enums = {key: _enum_rank(g, *key, ENUMERATION_CAP, searches) for key in dict.fromkeys(key[1:] for key in table)}
+    enums = {key: _enum_rank(g, *key, searches) for key in dict.fromkeys(key[1:] for key in table)}
     return plan, table, enums
 
 
@@ -410,10 +405,9 @@ def _modes(rows: np.ndarray) -> np.ndarray:
 def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
     """Path matrices of an acyclic g at `draws` independent `generic_parameters` draws, stacked;
     one `_draws` call and one batched `_power_sum`, with the stream and values of a draw at a time."""
+    _require_acyclic(g, "draw_b_stack")
     if draws < 1:
         raise InvalidDrawCount(draws)
-    if not is_acyclic(g):
-        raise CyclicGraph("the power-sum path matrix needs an acyclic binding")
     p = g.num_vertices
     rows, cols = [g.index(u) for u, _ in g.directed], [g.index(v) for _, v in g.directed]
     dense = np.zeros((draws, p, p))

@@ -42,6 +42,7 @@ _K_EDGE_WEIGHT = 7
 _K_FACTOR_SCALE = 8
 _K_FACTOR_NOISE = 9
 _K_FACTOR_WEIGHT = 10
+_K_RANDOM_INIT = 99
 
 LAPLACE = "shared-latent-laplace"
 UNIFORM = "shared-latent-uniform"
@@ -122,6 +123,12 @@ def _require_binding(g: MixedGraph, *lams: ParamMatrix) -> None:
     """The one "lam is bound to g" test: a parameter matrix on any other graph is a BindingMismatch."""
     if any(lam.graph != g for lam in lams):
         raise BindingMismatch("parameter matrix bound to a different graph")
+
+
+def _require_columns(g: MixedGraph, ds: Dataset) -> None:
+    """The one "ds is bound to g" test: columns other than g's vertices, in order, are a BindingMismatch."""
+    if ds.columns != g.vertices:
+        raise BindingMismatch("dataset columns must match the graph vertices")
 
 
 def path_matrix(lam: ParamMatrix) -> np.ndarray:
@@ -211,9 +218,12 @@ def _uniform_draw(rng: np.random.Generator, sd: float, n: int) -> np.ndarray:
 
 
 def edge_count(p: int, density: float) -> int:
-    """e = floor(density * p * (p-1)), the edge count of a `random_admg`; an InvalidDensity unless 1 <= e <= p(p-1)."""
-    if p < 2:
+    """e = floor(density * p * (p-1)), the edge count of a `random_admg`; an InvalidDensity unless 1 <= e <= p(p-1).
+    p is read with `operator.index`, so a float is a TypeError."""
+    if operator.index(p) < 2:
         raise InvalidDensity("need at least 2 vertices")
+    if not -math.inf < density * p * (p - 1) < math.inf:  # NaN, an infinity, or a float product past the range
+        raise InvalidDensity(f"density {density} gives no finite edge count for p={p}")
     e = math.floor(density * p * (p - 1))
     if e < 1:
         raise InvalidDensity(f"density {density} yields no edges for p={p}")
@@ -326,8 +336,7 @@ def sample_factor_errors(l, n: int, seed: int) -> Dataset:
 def generate_data(g: MixedGraph, lam: ParamMatrix, errors: Dataset) -> Dataset:
     """Solve the structural equations: each sample row is B_Lambda * eps."""
     _require_binding(g, lam)
-    if errors.columns != g.vertices:
-        raise BindingMismatch("error columns must match the graph vertices")
+    _require_columns(g, errors)
     b = path_matrix(lam)
     x = errors.values @ b.T
     return Dataset(

@@ -149,6 +149,26 @@ class TestResiduals:
         with pytest.raises(BindingMismatch, match="dataset columns"):
             residuals(g, ParamMatrix(g, {}), Dataset(("a", "b", "c"), data.values))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, lam, ds: residuals(g, lam, ds),
+            lambda g, lam, ds: objective(g, lam, ds, polynomial_kernel()),
+            lambda g, lam, ds: gradient(g, lam, ds, polynomial_kernel()),
+            lambda g, lam, ds: regression_init(g, ds),
+            lambda g, lam, ds: fit(g, ds, polynomial_kernel(), lam),
+            lambda g, lam, ds: generate_data(g, lam, ds),
+        ],
+        ids=["residuals", "objective", "gradient", "regression_init", "fit", "generate_data"],
+    )
+    def test_every_entry_point_refuses_reordered_columns(self, call):
+        # g's own vertices in another order: read at g's indices, the data would fit the wrong columns.
+        g = iv_graph()
+        values = np.random.default_rng(0).standard_normal((20, 3))
+        with pytest.raises(BindingMismatch, match="^dataset columns must match the graph vertices$"):
+            call(g, ParamMatrix(g, {}), Dataset(g.vertices[::-1], values))
+        call(g, ParamMatrix(g, {}), Dataset(g.vertices, values))
+
 
 class TestHsic:
     def test_constant_input_exactly_zero(self):

@@ -30,7 +30,7 @@ from admgident import (
 from admgident import ident
 from admgident.errors import CyclicGraph, InvalidFactorGraph, NotAParentSubset, NotCycleDecomposable
 from admgident.ident import ColumnVerdict, FlowNetwork
-from admgident.oracle import ENUMERATION_CAP, _enum_rank, all_bidirected_sets, all_dags
+from admgident.oracle import _enum_rank, all_bidirected_sets, all_dags
 from figures import (
     confounded_diamond,
     confounded_feedback,
@@ -465,7 +465,7 @@ class TestMatrixReport:
 
                 def rank(g, removable, q):
                     if (removable, q) not in ranks:
-                        ranks[removable, q] = _enum_rank(g, removable, q, ENUMERATION_CAP, searches)
+                        ranks[removable, q] = _enum_rank(g, removable, q, searches)
                     return ranks[removable, q]
 
                 for bid in all_bidirected_sets(p):

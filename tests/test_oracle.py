@@ -18,7 +18,10 @@ from admgident import (
     fiber_dimension_modal,
     fiber_q_unique,
     gvl_check,
+    is_identifiable,
     is_identifiable_with_knowledge,
+    is_matrix_identifiable,
+    matrix_generically_identifiable,
     nongeneric_locus_check,
     path_matrix,
     random_admg,
@@ -163,6 +166,39 @@ class TestBinding:
     def test_gvl_sides_agree_when_bound(self):
         det, path_sum = gvl_check(self.G, ParamMatrix(self.G, self.VALUES), ["v1"], ["v4"])
         assert det == pytest.approx(path_sum, abs=1e-12) and path_sum == pytest.approx(2.0 * 3.0 - 1.5 * 2.7)
+
+
+class TestAcyclicOnly:
+    """Every entry point whose mathematics holds only without directed cycles refuses the 2-cycle
+    with CyclicGraph, through the one guard, also where (I - Lambda) is invertible and an answer
+    could be computed: `fiber_q_unique` would call the v2 coefficient unique, and the two sides
+    of the gvl identity would disagree."""
+
+    G = two_cycle()
+    LAM = ParamMatrix(G, {("v1", "v2"): 0.5, ("v2", "v1"): 0.3})
+    CALLS = {
+        "is_identifiable": lambda g, lam: is_identifiable(g, "v1", ["v2"]),
+        "is_identifiable_with_knowledge": lambda g, lam: is_identifiable_with_knowledge(g, "v1", ["v2"], ()),
+        "is_matrix_identifiable": lambda g, lam: is_matrix_identifiable(g),
+        "matrix_generically_identifiable": lambda g, lam: matrix_generically_identifiable(g),
+        "a_matrix": lambda g, lam: a_matrix(g, lam, lam),
+        "system_matrix": lambda g, lam: oracle.system_matrix(g, lam, "v1"),
+        "fiber_dimension": lambda g, lam: fiber_dimension(g, lam, "v1"),
+        "fiber_q_unique": lambda g, lam: fiber_q_unique(g, lam, "v1", ["v2"]),
+        "nongeneric_locus_check": lambda g, lam: nongeneric_locus_check(g, lam, "v1"),
+        "gvl_check": lambda g, lam: gvl_check(g, lam, ["v1"], ["v2"]),
+        "draw_b_stack": lambda g, lam: oracle.draw_b_stack(g, np.random.default_rng(0), 5),
+        "fiber_dimension_modal": lambda g, lam: fiber_dimension_modal(g, "v1"),
+        "cross_check_graph": lambda g, lam: cross_check_graph(g),
+        # the graph is tested before the draw count
+        "draw_b_stack-no-draws": lambda g, lam: oracle.draw_b_stack(g, np.random.default_rng(0), 0),
+        "cross_check_graph-no-draws": lambda g, lam: cross_check_graph(g, draws=0),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    def test_every_entry_point_refuses_a_cyclic_graph(self, call):
+        with pytest.raises(CyclicGraph, match="is defined for acyclic graphs; the graph has a directed cycle$"):
+            call(self.G, self.LAM)
 
 
 class TestPathMatrix:
@@ -607,7 +643,7 @@ class TestVerifySweep:
         if field == "enumeration":
             enum = oracle._enum_rank
             monkeypatch.setattr(
-                oracle, "_enum_rank", lambda g, removable, q, cap, memo: enum(g, removable, q, cap, memo) + bool(q)
+                oracle, "_enum_rank", lambda g, removable, q, memo: enum(g, removable, q, memo) + bool(q)
             )
         else:
             modal = oracle._modal_ranks
@@ -751,9 +787,9 @@ class TestVerifySweep:
         searches = []
         search = oracle.path_system_exists
 
-        def counting_search(g, sources, targets, cap):
+        def counting_search(g, sources, targets):
             searches.append((g.vertices, g.directed, sources, targets))
-            return search(g, sources, targets, cap)
+            return search(g, sources, targets)
 
         monkeypatch.setattr(oracle, "path_system_exists", counting_search)
         report = verify_sweep(4, 0)

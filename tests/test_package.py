@@ -117,6 +117,31 @@ def test_json_documents_and_stdout_have_one_writer():
     assert len(_attributes(modules["cli"], "sys.stdout.write")) == len(_attributes(emit, "sys.stdout.write")) == 1
 
 
+def _where(modules: dict, found) -> list:
+    """(module, top-level function or class, or "<module>") of every node in `modules` that `found` accepts."""
+    return sorted(
+        (name, getattr(top, "name", "<module>")) for name, tree in modules.items() for top in tree.body
+        for node in ast.walk(top) if found(node)
+    )
+
+
+def test_each_precondition_has_one_guard():
+    # "g is a DAG" is tested by admg._require_acyclic; `check` refuses --edge on a cyclic graph
+    # itself, before the edge is parsed, which decides its exit code.  "ds is bound to g" is
+    # simulate._require_columns: no other code compares dataset columns with graph vertices.
+    modules = _modules()
+
+    def raises_cyclic(node):
+        return isinstance(node, ast.Raise) and "CyclicGraph" in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+    def compares_columns(node):
+        attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} if isinstance(node, ast.Compare) else set()
+        return {"columns", "vertices"} <= attrs
+
+    assert _where(modules, raises_cyclic) == [("admg", "_require_acyclic"), ("cli", "cmd_check")]
+    assert _where(modules, compares_columns) == [("simulate", "_require_columns")]
+
+
 def _fresh(script: str) -> str:
     """Stdout of `script` run by a fresh interpreter that finds admgident where this test did."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(admgident.__file__))}

@@ -51,6 +51,20 @@ class TestRandomAdmg:
         with pytest.raises(InvalidDensity):
             random_admg(5, 1.5, seed=0)
 
+    @pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf, 1e308])
+    def test_density_without_a_finite_edge_count(self, density):
+        # math.floor refuses these: NaN with a ValueError, the rest with an OverflowError
+        for call in (lambda: simulate.edge_count(5, density), lambda: random_admg(5, density, seed=0)):
+            with pytest.raises(InvalidDensity, match="gives no finite edge count for p=5$"):
+                call()
+
+    @pytest.mark.parametrize("p", [2.5, 4.0])
+    def test_vertex_count_must_be_an_integer(self, p):
+        # read with operator.index, as seeds are: 2.5 would count floor(0.5 * 2.5 * 1.5) = 1 edge
+        for call in (lambda: simulate.edge_count(p, 0.5), lambda: random_admg(p, 0.5, seed=0)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call()
+
     def test_high_density_feasible(self):
         g = random_admg(5, 1.0, seed=3)
         assert len(g.directed) + len(g.bidirected) == 20
