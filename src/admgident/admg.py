@@ -190,10 +190,10 @@ def is_acyclic(g: MixedGraph) -> bool:
     return not any(g._an_mask(i) & ch for i, ch in enumerate(g._ch))
 
 
-def _require_acyclic(g: MixedGraph, what: str) -> None:
-    """The one "g is a DAG" test: a directed cycle is a CyclicGraph naming the entry point `what`."""
+def _require_acyclic(g: MixedGraph) -> None:
+    """The one "g is a DAG" test: a directed cycle is a CyclicGraph."""
     if not is_acyclic(g):
-        raise CyclicGraph(f"{what} is defined for acyclic graphs; the graph has a directed cycle")
+        raise CyclicGraph("this computation is defined for acyclic graphs; the graph has a directed cycle")
 
 
 def edge_keys(edges) -> dict:

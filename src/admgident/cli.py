@@ -303,11 +303,12 @@ def _parse_densities(text: str):
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise GraphFormatError(f"--densities expects start:stop:step, got {text!r}") from exc
-    if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
-        raise GraphFormatError(f"--densities needs finite bounds and a positive step, got {text!r}")
+    # densities are rounded to 10 digits, so a step below 1e-10 would repeat them
+    if not (all(map(math.isfinite, (start, stop, step))) and step >= 1e-10):
+        raise GraphFormatError(f"--densities needs finite bounds and a step of at least 1e-10, got {text!r}")
     out = []
     d = start
-    while d <= stop + 1e-9:
+    while d <= stop + min(1e-9, step / 2):  # drift slack, under half a step: it admits no extra value
         # Bounded here, not by a count formula: a step below half an ulp of d never moves d.
         if len(out) == MAX_DENSITIES:
             raise GraphFormatError(f"--densities {text!r} holds more than {MAX_DENSITIES} values")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -127,13 +128,7 @@ def hsic_biased(x, y, kx: KernelSpec, ky: KernelSpec) -> float:
 
 def independent_pairs(g: MixedGraph) -> tuple:
     """Unordered vertex pairs without a bidirected edge, in declaration order."""
-    sib = {v: set(g.siblings(v)) for v in g.vertices}
-    out = []
-    for i, u in enumerate(g.vertices):
-        for v in g.vertices[i + 1:]:
-            if v not in sib[u]:
-                out.append((u, v))
-    return tuple(out)
+    return tuple((u, v) for u, v in combinations(g.vertices, 2) if v not in g.siblings(u))
 
 
 def residuals(g: MixedGraph, lam_tilde: ParamMatrix, ds: Dataset) -> Dataset:
@@ -185,16 +180,16 @@ class _Layout:
     and centres to zero, so only powers 1..d are kept.  Features are stacked
     power-major, one row of n samples each: row k*p + j holds power k+1 of
     column j, scaled by `coef[k]`.  `mask` is 1 on the blocks of independent
-    pairs, in both orders.  Under RBF (degree 0, no features) every
-    independent pair goes to `gram_pairs`.  A parentless column's residual
-    is its data column for every coefficient, so a Gram pair of two
-    parentless sides adds the constant `constant`, and `fixed` holds the
-    centred Gram of each parentless side paired with a column that has
-    parents.
+    pairs, in both orders.  Under RBF (degree 0, no features) the
+    independent pairs are Gram pairs.  A parentless column's residual is its
+    data column for every coefficient, so the pairs of two parentless
+    columns are valued once, in `constant`; `gram_pairs` lists the others as
+    (i, j), and `fixed` holds the centred Gram of each of their parentless
+    sides.  `specs` holds each column's kernel.
     """
 
     def __init__(self, g: MixedGraph, kernels: dict, x: np.ndarray):
-        specs = [kernels[v] for v in g.vertices]
+        self.specs = specs = [kernels[v] for v in g.vertices]
         shapes = {(s.kind, s.degree, s.offset) if s.kind == POLYNOMIAL else (RBF, 0, 0.0) for s in specs}
         if len(shapes) > 1:
             raise ValueError("one kernel per objective: the columns' kernels differ in kind, degree or offset")
@@ -211,18 +206,20 @@ class _Layout:
         self.grad = np.flatnonzero(has_parents)
         self.grad_feats = (np.arange(d)[:, None] * p + self.grad).ravel()
         self.grad_coef = self.coef * np.arange(1, d + 1)
-        self.gram_pairs = [] if d else [(i, j, specs[i], specs[j], has_parents[i], has_parents[j]) for i, j in pairs]
+        rbf_pairs = [] if d else pairs
+        self.gram_pairs = [(i, j) for i, j in rbf_pairs if has_parents[i] or has_parents[j]]
         self.constant = sum(
-            hsic_biased(x[:, i], x[:, j], ki, kj) for i, j, ki, kj, need_i, need_j in self.gram_pairs
-            if not (need_i or need_j)
+            hsic_biased(x[:, i], x[:, j], specs[i], specs[j])
+            for i, j in rbf_pairs if not (has_parents[i] or has_parents[j])
         )
-        held = {c for i, j, _, _, need_i, need_j in self.gram_pairs for c, need in ((i, need_i), (j, need_j))
-                if need_i != need_j and not need}
+        held = {c for pair in self.gram_pairs for c in pair if not has_parents[c]}
         self.fixed = {c: _center(_gram(x[:, c], specs[c])) for c in sorted(held)}
-        self.edges = (
-            np.array([g.index(u) for u, _ in g.directed], dtype=int),
-            np.array([g.index(v) for _, v in g.directed], dtype=int),
-        )
+        self.edges = _edge_index(g)
+
+
+def _edge_index(g: MixedGraph) -> tuple:
+    """(tails, heads): each directed edge's row and column in the coefficient matrix, in `g.directed` order."""
+    return tuple(np.array([g.index(edge[k]) for edge in g.directed], dtype=int) for k in (0, 1))
 
 
 def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
@@ -267,27 +264,27 @@ def _value_and_gradient(layout: _Layout, lam_dense: np.ndarray):
         deriv[1:] = powers[:-1, layout.grad]
         gcol[layout.grad] = (2.0 / n**2) * np.einsum("kjn,kjn,k->jn", deriv, gf, layout.grad_coef)
     total += layout.constant
-    for pair in layout.gram_pairs:
-        if pair[4] or pair[5]:  # else both residuals are data columns, in layout.constant
-            total += _gram_pair(layout, r, gcol, *pair)
+    for i, j in layout.gram_pairs:
+        total += _gram_pair(layout, r, gcol, i, j)
     u, v = layout.edges
     return total, -np.einsum("ne,en->e", x[:, u], gcol[v])
 
 
-def _gram_pair(layout, r, gcol, i, j, ki, kj, need_i, need_j) -> float:
-    """HSIC of one RBF pair with a side that has parents; adds its side gradients to gcol.
+def _gram_pair(layout, r, gcol, i, j) -> float:
+    """HSIC of the Gram pair (i, j) of the layout; adds its side gradients to gcol.
 
-    Each side with parents builds its raw Gram.  A side its partner needs is
-    centred, or held by the layout when it has no parents.  Each side with
-    parents adds its gradient, and the last one gives the value.  The pair's
-    n x n arrays are freed on return, before the next pair builds its own.
+    A side outside `layout.fixed` has parents and builds its raw Gram.  A
+    side its partner needs is centred, or held by the layout when it has no
+    parents.  Each side with parents adds its gradient, and the last one
+    gives the value.  The pair's n x n arrays are freed on return, before
+    the next pair builds its own.
     """
     n = r.shape[0]
-    raw = {c: _gram(r[:, c], spec) for c, spec, need in ((i, ki, need_i), (j, kj, need_j)) if need}
+    raw = {c: _gram(r[:, c], layout.specs[c]) for c in (i, j) if c not in layout.fixed}
     centred = {c: _center(raw[c]) if c in raw else layout.fixed[c] for c, partner in ((i, j), (j, i)) if partner in raw}
-    for c, spec, partner in ((i, ki, j), (j, kj, i)):
+    for c, partner in ((i, j), (j, i)):
         if c in raw:
-            grad, value = _gram_side(r[:, c], spec, raw[c], centred[partner], n)
+            grad, value = _gram_side(r[:, c], layout.specs[c], raw[c], centred[partner], n)
             gcol[c] += grad
     return value
 
@@ -376,8 +373,8 @@ def fit(
     _require_columns(g, ds)
     if ds.n < 2:
         raise LengthMismatch(f"need at least 2 samples, got {ds.n}")
-    edges = g.directed
-    p = g.num_vertices
+    edges, p = g.directed, g.num_vertices
+    tails, heads = _edge_index(g)
 
     # std of each column scaled into [0.5, 1) by a power of two, scaled back:
     # exact, and no square overflows however large the cells are
@@ -386,34 +383,14 @@ def fit(
     sd = np.ldexp(np.ldexp(ds.values, -exponent).std(axis=0), exponent)
     # a constant column is scaled to +-1 instead, and an all-zero one by 1
     sd = np.where(sd > 0.0, sd, np.where(top > 0.0, top, 1.0))
-    # lam_std[u, v] = lam[u, v] * sd_u / sd_v, an exact reparameterization;
-    # a scale or box past the float range is inf, which bounds nothing
+    # lam_std[u, v] = lam[u, v] * sd_u / sd_v, an exact reparameterization (in that order: x * edge_scale
+    # rounds differently); a scale or box past the float range is inf, which bounds nothing
     with np.errstate(over="ignore"):
-        edge_scale = np.array([sd[g.index(u)] / sd[g.index(v)] for u, v in edges])
-        init = ParamMatrix(
-            g, {(u, v): x * sd[g.index(u)] / sd[g.index(v)] for (u, v), x in init.values.items()}
-        )
+        edge_scale = sd[tails] / sd[heads]
         box = _BOUND * edge_scale
+        x0 = np.clip(init.dense()[tails, heads] * sd[tails] / sd[heads], -box, box)
     ds = Dataset(ds.columns, ds.values / sd, ds.provenance)
-
-    x0 = np.clip([init.values.get(edge, 0.0) for edge in edges], -box, box)
     layout = _Layout(g, _resolved(g, kernels, ds, ParamMatrix(g, dict(zip(edges, x0)))), ds.values)
-
-    def pack(vec: np.ndarray) -> np.ndarray:
-        lam = np.zeros((p, p))
-        lam[layout.edges] = vec
-        return lam
-
-    trace = []  # opened by fun's first call, at x0, where L-BFGS-B starts
-
-    def fun(vec):
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports an overflow
-            value, grad = _value_and_gradient(layout, pack(vec))
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            raise _NonFinite(vec)
-        if not trace:
-            trace.append(value)
-        return value, grad
 
     def unscale(vec: np.ndarray) -> ParamMatrix:
         # a coefficient on a standardised bound can round past the box on the way back;
@@ -422,34 +399,43 @@ def fit(
         lam = np.clip(lam, -_BOUND, _BOUND)
         return ParamMatrix(g, {edge: float(lam[i]) for i, edge in enumerate(edges)})
 
+    trace = []  # opened by fun's first call, at x0, where L-BFGS-B starts
+
+    def fun(vec):
+        lam = np.zeros((p, p))
+        lam[tails, heads] = vec
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports an overflow
+            value, grad = _value_and_gradient(layout, lam)
+        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+            raise NonFiniteObjective("objective became non-finite during optimization", last_iterate=unscale(vec))
+        if not trace:
+            trace.append(value)
+        return value, grad
+
     def record(intermediate_result):
         trace.append(intermediate_result.fun)
 
-    try:
-        if edges:
-            # imported here, not at the top: it is most of the package's import time, and only fits use it
-            from scipy.optimize import minimize
+    if edges:
+        # imported here, not at the top: it is most of the package's import time, and only fits use it
+        from scipy.optimize import minimize
 
-            res = minimize(
-                fun,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=list(zip(-box, box)),
-                callback=record,
-                options={
-                    "maxiter": _MAX_ITER,
-                    "maxcor": 10,
-                    "gtol": _GRAD_TOL,
-                    "ftol": 1e-14,
-                },
-            )
-            x, iterations, converged, final = res.x, int(res.nit), bool(res.status == 0), float(res.fun)
-        else:
-            x, iterations, converged, final = x0, 0, True, fun(x0)[0]
-    except _NonFinite as exc:
-        message = "objective became non-finite during optimization"
-        raise NonFiniteObjective(message, last_iterate=unscale(exc.vec)) from None
+        res = minimize(
+            fun,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(-box, box)),
+            callback=record,
+            options={
+                "maxiter": _MAX_ITER,
+                "maxcor": 10,
+                "gtol": _GRAD_TOL,
+                "ftol": 1e-14,
+            },
+        )
+        x, iterations, converged, final = res.x, int(res.nit), bool(res.status == 0), float(res.fun)
+    else:
+        x, iterations, converged, final = x0, 0, True, fun(x0)[0]
 
     return EstimateResult(
         lam_hat=unscale(x),
@@ -459,11 +445,6 @@ def fit(
         init_kind=init_kind,
         final_objective=final,
     )
-
-
-class _NonFinite(Exception):
-    def __init__(self, vec):
-        self.vec = vec
 
 
 def normalized_frobenius_loss(lam_hat: ParamMatrix, lam_true: ParamMatrix) -> float:

@@ -275,7 +275,7 @@ def is_identifiable_with_knowledge(g: MixedGraph, v: str, q, k) -> bool:
     rank drops by one per deleted element exactly when every element deleted
     is a coloop of the gammoid on pa \\ k, so one solve of pa \\ k decides it.
     """
-    _require_acyclic(g, "is_identifiable_with_knowledge")
+    _require_acyclic(g)
     q, k = g.parent_subset(v, q), g.parent_subset(v, k)
     solved = _Column(g, v, g.removable(v)).solve([u for u in g.parents(v) if u not in k])
     return all(solved.coloop(u) for u in q if u not in k)
@@ -331,7 +331,7 @@ def is_matrix_identifiable(g: MixedGraph) -> IdentReport:
     `_SolvedColumn.coloop` reads from the same residual graph without a
     second solve.
     """
-    _require_acyclic(g, "is_matrix_identifiable")
+    _require_acyclic(g)
     columns = {}
     verdicts = {}
     for i, v in enumerate(g.vertices):
@@ -370,7 +370,7 @@ def _column_full_rank(g: MixedGraph, i: int) -> bool:
 
 def matrix_generically_identifiable(g: MixedGraph) -> bool:
     """Column check only, short-circuiting on the first failure."""
-    _require_acyclic(g, "matrix_generically_identifiable")
+    _require_acyclic(g)
     return all(_column_full_rank(g, i) for i in range(g.num_vertices))
 
 

@@ -116,7 +116,7 @@ def gvl_check(g: MixedGraph, lam: ParamMatrix, rows, cols):
     cols = g.sort_vertices(cols)
     if len(rows) != len(cols):
         raise SizeMismatch("row and column sets must have equal cardinality")
-    _require_acyclic(g, "gvl_check")
+    _require_acyclic(g)
     b = path_matrix(lam)
     row_idx = [g.index(u) for u in rows]
     col_idx = [g.index(u) for u in cols]
@@ -151,7 +151,7 @@ def a_matrix(g: MixedGraph, lam: ParamMatrix, lam_tilde: ParamMatrix) -> np.ndar
     exactly zero whenever v is not a descendant of u, and one on the diagonal.
     """
     _require_binding(g, lam, lam_tilde)
-    _require_acyclic(g, "a_matrix")
+    _require_acyclic(g)
     b = path_matrix(lam)
     p = g.num_vertices
     out = np.zeros((p, p))
@@ -193,7 +193,7 @@ def system_matrix(g: MixedGraph, lam: ParamMatrix, v: str, pinned=()) -> np.ndar
     _require_binding(g, lam)
     cols = [g.index(w) for w in _free_parents(g, v, pinned)]
     rows = [g.index(u) for u in g.removable(v)]
-    _require_acyclic(g, "system_matrix")
+    _require_acyclic(g)
     return path_matrix(lam)[np.ix_(cols, rows)].T
 
 
@@ -405,7 +405,7 @@ def _modes(rows: np.ndarray) -> np.ndarray:
 def draw_b_stack(g: MixedGraph, rng, draws: int) -> np.ndarray:
     """Path matrices of an acyclic g at `draws` independent `generic_parameters` draws, stacked;
     one `_draws` call and one batched `_power_sum`, with the stream and values of a draw at a time."""
-    _require_acyclic(g, "draw_b_stack")
+    _require_acyclic(g)
     if draws < 1:
         raise InvalidDrawCount(draws)
     p = g.num_vertices

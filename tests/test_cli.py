@@ -525,11 +525,26 @@ class TestSurvey:
             assert row.proportion_identifiable == sum(map(ident.matrix_generically_identifiable, graphs)) / 6
 
     @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("0.1:0.9:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+            ("0.1:0.95:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+            ("0.3:0.5:0.2", [0.3, 0.5]),
+            # the drift slack is below half a step: no value past 0.5000000005
+            ("0.5:0.5000000005:1e-10", [0.5, 0.5000000001, 0.5000000002, 0.5000000003, 0.5000000004, 0.5000000005]),
+        ],
+    )
+    def test_densities_end_at_stop(self, text, expected):
+        assert _parse_densities(text) == expected
+
+    @pytest.mark.parametrize(
         "text",
-        ["0.1:0.9:0", "0.1:0.9:-0.1", "0.1:inf:0.1", "-inf:0.9:0.1", "0:1:1e-300", "0.9:0.1:0.1", "1e20:1e20:1"],
+        ["0.1:0.9:0", "0.1:0.9:-0.1", "0.1:inf:0.1", "-inf:0.9:0.1", "0:1:1e-300", "0.9:0.1:0.1", "1e20:1e20:1",
+         "0.5:0.5:1e-12"],
     )
     def test_densities_need_finite_bounds_and_positive_step(self, text):
-        # Without the checks these ranges never end (or come out empty); the timer turns a hang into a failure.
+        # Without the checks these ranges never end, come out empty, or (below the 1e-10 rounding unit of a
+        # density) repeat values past stop; the timer turns a hang into a failure.
         def expire(signum, frame):
             raise TimeoutError(f"_parse_densities({text!r}) did not return")
 

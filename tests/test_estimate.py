@@ -806,9 +806,10 @@ class TestFit:
         assert self.evaluation_peak(layout, lam.dense()) <= 1.1 * 8 * n**2
 
     def test_rbf_evaluation_peak_memory_does_not_grow_with_pairs(self):
-        # 26 all-RBF pairs, each column in 5 to 7 of them: one evaluation still peaks at
-        # the pair-by-pair loop's 5 n x n arrays (5.06 measured there, 4.05 now), and the
-        # layout holds exactly one centred Gram per parentless column, v1 and v5.
+        # 26 all-RBF pairs: (v1, v5) joins two parentless columns and is valued once, in the
+        # layout; the other 25 are evaluated, each column in at least 5 of them.  One evaluation
+        # still peaks at the pair-by-pair loop's 5 n x n arrays (5.06 measured there, 4.05 now),
+        # and the layout holds exactly one centred Gram per parentless column, v1 and v5.
         n = 600
         g = random_admg(8, 0.3, 2)
         lam = sample_parameters(g, seed=2)
@@ -817,10 +818,11 @@ class TestFit:
         r = x @ (np.eye(8) - lam.dense())
         kernels = {v: resolve_kernel(rbf_kernel(), r[:, g.index(v)]) for v in g.vertices}
         layout = _Layout(g, kernels, x)
-        sides = [c for pair in layout.gram_pairs for c in pair[:2]]
-        assert len(layout.gram_pairs) == 26 and min(map(sides.count, sides)) == 5
+        sides = [c for pair in layout.gram_pairs for c in pair]
+        assert len(layout.gram_pairs) == 25 and min(map(sides.count, sides)) == 5
         roots = [g.index(v) for v in g.vertices if not g.parents(v)]
         assert layout.fixed.keys() == set(roots) == {0, 4}
+        assert layout.constant == hsic_biased(x[:, 0], x[:, 4], kernels["v1"], kernels["v5"])
         for c in roots:
             assert layout.fixed[c].tobytes() == _center(_gram(x[:, c], kernels[g.vertices[c]])).tobytes()
         assert self.evaluation_peak(layout, lam.dense()) <= 5.1 * 8 * n**2

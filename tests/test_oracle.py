@@ -187,6 +187,7 @@ class TestAcyclicOnly:
         "fiber_q_unique": lambda g, lam: fiber_q_unique(g, lam, "v1", ["v2"]),
         "nongeneric_locus_check": lambda g, lam: nongeneric_locus_check(g, lam, "v1"),
         "gvl_check": lambda g, lam: gvl_check(g, lam, ["v1"], ["v2"]),
+        # the batched draws sum a power series, which only a nilpotent binding ends
         "draw_b_stack": lambda g, lam: oracle.draw_b_stack(g, np.random.default_rng(0), 5),
         "fiber_dimension_modal": lambda g, lam: fiber_dimension_modal(g, "v1"),
         "cross_check_graph": lambda g, lam: cross_check_graph(g),
@@ -197,7 +198,7 @@ class TestAcyclicOnly:
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
     def test_every_entry_point_refuses_a_cyclic_graph(self, call):
-        with pytest.raises(CyclicGraph, match="is defined for acyclic graphs; the graph has a directed cycle$"):
+        with pytest.raises(CyclicGraph, match="^this computation is defined for acyclic graphs; the graph has a directed cycle$"):
             call(self.G, self.LAM)
 
 
@@ -360,11 +361,6 @@ class TestAMatrix:
         with pytest.raises(BindingMismatch):
             a_matrix(confounded_diamond(), diamond_params(), ParamMatrix(iv(), {}))
 
-    def test_cyclic_graph_rejected(self):
-        lam = ParamMatrix(two_cycle(), {("v1", "v2"): 0.5})
-        with pytest.raises(CyclicGraph):
-            a_matrix(two_cycle(), lam, lam)
-
 
 def iv():
     return MixedGraph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3")], [("v2", "v3")])
@@ -407,17 +403,6 @@ class TestFiber:
                             values[d] += 1
         assert values == {0: 683, 1: 155, 2: 106, 3: 53, 4: 15, 5: 2}
         assert digest.hexdigest() == "660a325e8c421b27b459e58685e4dd5fe1f1717de481408b67d7e41ff9aebb5c"
-
-    def test_dimension_rejects_cyclic_graphs(self):
-        with pytest.raises(CyclicGraph):
-            fiber_dimension(two_cycle(), ParamMatrix(two_cycle(), {("v1", "v2"): 0.5}), "v1")
-
-    def test_modal_dimension_rejects_cyclic_graphs(self):
-        with pytest.raises(CyclicGraph):
-            fiber_dimension_modal(two_cycle(), "v1")
-        # The batched draws sum a power series, which only a nilpotent binding ends.
-        with pytest.raises(CyclicGraph):
-            oracle.draw_b_stack(two_cycle(), np.random.default_rng(0), 5)
 
     @pytest.mark.parametrize("draws", [0, -1])
     def test_draw_count_below_one_rejected(self, draws):

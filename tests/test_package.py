@@ -1,6 +1,7 @@
 """What the package exposes, what importing it loads, and how its modules layer."""
 
 import ast
+import builtins
 import graphlib
 import inspect
 import os
@@ -140,6 +141,17 @@ def test_each_precondition_has_one_guard():
 
     assert _where(modules, raises_cyclic) == [("admg", "_require_acyclic"), ("cli", "cmd_check")]
     assert _where(modules, compares_columns) == [("simulate", "_require_columns")]
+
+
+def test_exception_classes_live_in_errors():
+    # An error is raised as its public type where it is found: no private exception type
+    # exists to be relayed, or to escape a public call when a relay misses it.
+    classes = [(name, node) for name, tree in _modules().items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    for _ in classes:  # each pass reaches one base further down every chain
+        found = {(name, node.name) for name, node in classes if exceptions & {ast.unparse(b).split(".")[-1] for b in node.bases}}
+        exceptions |= {cls for _, cls in found}
+    assert {name for name, _ in found} == {"errors"}, sorted(found)
 
 
 def _fresh(script: str) -> str:
